@@ -219,8 +219,8 @@ struct PipelinedResult {
   std::string family;
   int fsv = 1;
   int pocket_atoms = 0;
-  SampleStats seq;   // poses/s, sequential score(), no cache (the PR 9 path)
-  SampleStats pipe;  // poses/s, depth-2 pipeline + cross-request pocket cache
+  SampleStats seq;   // poses/s, depth-0 score() on the replica's private pocket cache
+  SampleStats pipe;  // poses/s, depth-2 pipeline + a shared pocket cache
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
 };

@@ -10,7 +10,7 @@
 // their brute-force scan, in the same (outer atom, ascending inner index)
 // order — so every cell-list route is bitwise identical to the scan it
 // replaces, at any thread count (the engine itself never touches the
-// compute pool; per-pose purity is what featurize lanes parallelize over).
+// compute pool; per-pose purity is what pipelined featurize relies on).
 #pragma once
 
 #include <cstdint>

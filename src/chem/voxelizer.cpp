@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <stdexcept>
 #include <vector>
 
 #include "core/simd_math.h"
 
 #include "core/parallel.h"
+
+#pragma GCC diagnostic ignored "-Wpsabi"  // vector helpers: see core/simd_math.h
 
 namespace df::chem {
 
@@ -209,27 +210,19 @@ Tensor Voxelizer::voxelize_pocket(const std::vector<Atom>& pocket,
   return voxelize(Molecule(), pocket, center);
 }
 
-Tensor Voxelizer::voxelize_ligand_onto(const Molecule& ligand, const Tensor& pocket_grid,
-                                       const core::Vec3& center) const {
-  if (cfg_.feature_set_version >= 2) {
-    throw std::logic_error(
-        "voxelize_ligand_onto: v2 H-bond channel couples ligand and pocket; "
-        "pocket-grid amortization is v1-only — call voxelize() per pose");
-  }
-  Tensor grid = voxelize(ligand, {}, center);
-  // Channel blocks are disjoint: ligand splats live in block 0, pocket in
-  // block 1, so grafting the cached pocket block reproduces the joint
-  // voxelization bit for bit.
-  const int64_t block = static_cast<int64_t>(cfg_.channels_per_block()) * cfg_.grid_dim *
-                        cfg_.grid_dim * cfg_.grid_dim;
-  std::memcpy(grid.data() + block, pocket_grid.data() + block,
-              static_cast<size_t>(block) * sizeof(float));
-  return grid;
-}
-
 Tensor Voxelizer::voxelize_ligand_onto(const Molecule& ligand, const std::vector<Atom>& pocket,
                                        const Tensor& pocket_grid, const core::Vec3& center) const {
-  if (cfg_.feature_set_version < 2) return voxelize_ligand_onto(ligand, pocket_grid, center);
+  const int64_t block = static_cast<int64_t>(cfg_.channels_per_block()) * cfg_.grid_dim *
+                        cfg_.grid_dim * cfg_.grid_dim;
+  if (cfg_.feature_set_version < 2) {
+    // Channel blocks are disjoint: ligand splats live in block 0, pocket in
+    // block 1, so grafting the cached pocket block reproduces the joint
+    // voxelization bit for bit.
+    Tensor grid = voxelize(ligand, {}, center);
+    std::memcpy(grid.data() + block, pocket_grid.data() + block,
+                static_cast<size_t>(block) * sizeof(float));
+    return grid;
+  }
 
   // v2: the ligand couples to the pocket only through the per-block H-bond
   // channel, so the graft still works — it just has to re-derive the H-bond
@@ -257,15 +250,13 @@ Tensor Voxelizer::voxelize_ligand_onto(const Molecule& ligand, const std::vector
   }
   fill_ops(grid, ops, cfg_);
 
-  const int cpb = cfg_.channels_per_block();
-  const int64_t block = static_cast<int64_t>(cpb) * G * G * G;
   std::memcpy(grid.data() + block, pocket_grid.data() + block,
               static_cast<size_t>(block) * sizeof(float));
 
   // Pocket-side H-bond deposits only; the base-channel ops expand_atom also
   // emits are already present via the graft, so drop them (stable filter —
   // the surviving ops keep their ascending-atom order).
-  const int hb_channel = cpb + kVoxelHBondChannel;
+  const int hb_channel = cfg_.channels_per_block() + kVoxelHBondChannel;
   ops.clear();
   for (size_t i = 0; i < pocket.size(); ++i) {
     if (poc_hb[i] <= 0.0f) continue;

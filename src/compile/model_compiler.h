@@ -114,7 +114,7 @@ class ModelCompiler {
 /// again (core::Workspace::reserve).
 struct WorkspaceBudget {
   int64_t forward_floats = 0;
-  int64_t feat_floats = 0;  // per featurize lane
+  int64_t feat_floats = 0;  // per featurize slot
 };
 
 /// Compile `model` (in place) and serialize its compiled form. Throws

@@ -10,6 +10,8 @@
 #include "core/simd_math.h"
 #include "core/threadpool.h"
 
+#pragma GCC diagnostic ignored "-Wpsabi"  // vector helpers: see core/simd_math.h
+
 namespace df::core {
 
 namespace {

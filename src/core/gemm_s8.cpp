@@ -165,6 +165,14 @@ inline int8_t quantize_clamped(float v, float inv) {
 // bitwise-identical bytes (pinned against the NATIVE=OFF build by the
 // cross-build artifact tests).
 
+// GCC 12's avx512fintrin.h seeds the pass-through operand of the unmasked
+// conversion/min/max/shift intrinsics with _mm512_undefined_epi32(), which
+// -Wmaybe-uninitialized flags once the quantizers below inline them. The
+// operand is never read under an all-ones mask; silence the false positive
+// for these quantizers only.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+
 /// n floats -> clamped s8, per-element inv scales via `inv_col` (length n)
 /// or the uniform `inv` when it is null.
 inline void quantize_row_s8(const float* src, int64_t n, const float* inv_col, float inv,
@@ -264,6 +272,8 @@ void quantize_a_u8(int64_t m, int64_t k, const float* A, int64_t lda,
     for (int64_t p = k; p < k4; ++p) orow[p] = 0;
   }
 }
+
+#pragma GCC diagnostic pop
 
 void gemm_u8s8f32(int64_t m, int64_t n, int64_t k, const uint8_t* A, int64_t lda,
                   const int8_t* b_panels, float* C, int64_t ldc, const QuantEpilogue& ep) {

@@ -26,6 +26,13 @@ namespace df::core::simd {
 
 #if defined(__GNUC__) || defined(__clang__)
 #define DF_SIMD_MATH_VECTOR 1
+// Without -mavx512f, GCC's -Wpsabi warns that passing or returning a 64-byte
+// vector by value changes the ABI. These helpers are inline and every
+// translation unit is built with the same flags, so no call crosses that
+// ABI boundary: the warning is silenced here and in the files that call
+// them, not globally.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wpsabi"
 typedef float vf16 __attribute__((vector_size(64), aligned(4)));
 typedef int32_t vi16 __attribute__((vector_size(64), aligned(4)));
 
@@ -81,6 +88,7 @@ inline vf16 vselu16(vf16 x, float scale, float alpha) {
   const vf16 neg = splat(scale * alpha) * (vexp16(x) - splat(1.0f));
   return x > splat(0.0f) ? splat(scale) * x : neg;
 }
+#pragma GCC diagnostic pop
 #endif
 
 // Scalar versions of the identical polynomial — the single source of truth

@@ -19,8 +19,8 @@
 // replica per batch (serve/scorer.h).
 //
 // A Workspace is single-threaded state: one thread bumps it at a time. A
-// replica that fans featurization out over lanes gives each lane its own
-// arena. Pool workers spawned by leaf kernels (gemm, conv, voxel splat)
+// replica whose featurize stage runs on its own thread gives each pipeline
+// slot its own arena. Pool workers spawned by leaf kernels (gemm, conv, voxel splat)
 // never create Tensors, so they are unaffected by the caller's binding,
 // which is thread-local by design.
 #pragma once
@@ -78,7 +78,7 @@ class Workspace {
 
   /// RAII: bind `ws` as the thread's current workspace without touching the
   /// bump cursor. Used when the carved tensors must outlive the binding
-  /// (e.g. featurizer lanes whose samples feed a later forward pass); the
+  /// (e.g. featurized samples that feed a later forward pass); the
   /// owner rewinds explicitly with reset() at the top of the next batch.
   class Bind {
    public:

@@ -7,6 +7,8 @@
 
 #include "core/simd_math.h"
 
+#pragma GCC diagnostic ignored "-Wpsabi"  // vector helpers: see core/simd_math.h
+
 namespace df::graph {
 
 namespace {

@@ -9,13 +9,21 @@ namespace df::models {
 
 namespace {
 
+/// Dataset name of trainable parameter `i`, "p<i>". Appended, because
+/// `"p" + std::to_string(i)` trips a GCC 12 -Wrestrict false positive.
+std::string param_name(size_t i) {
+  std::string name = "p";
+  name += std::to_string(i);
+  return name;
+}
+
 void put_params(io::H5LiteFile& f, Regressor& model) {
   const std::vector<nn::Parameter*> params = model.trainable_parameters();
   f.put_ints("meta", {1}, {static_cast<int64_t>(params.size())});
   for (size_t i = 0; i < params.size(); ++i) {
     const nn::Parameter& p = *params[i];
     std::vector<float> values(p.value.flat().begin(), p.value.flat().end());
-    f.put_floats("p" + std::to_string(i), p.value.shape(), std::move(values));
+    f.put_floats(param_name(i), p.value.shape(), std::move(values));
   }
 }
 
@@ -25,7 +33,7 @@ void get_params(const io::H5LiteFile& f, Regressor& model, const std::string& pa
     throw std::runtime_error("load_checkpoint: parameter count mismatch in " + path);
   }
   for (size_t i = 0; i < params.size(); ++i) {
-    const io::Dataset& ds = f.get("p" + std::to_string(i));
+    const io::Dataset& ds = f.get(param_name(i));
     nn::Parameter& p = *params[i];
     if (ds.shape != p.value.shape()) {
       throw std::runtime_error("load_checkpoint: shape mismatch at parameter " +

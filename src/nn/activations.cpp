@@ -5,6 +5,8 @@
 
 #include "core/simd_math.h"
 
+#pragma GCC diagnostic ignored "-Wpsabi"  // vector helpers: see core/simd_math.h
+
 namespace df::nn {
 
 const char* activation_name(Activation a) {

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <type_traits>
-
-#include "core/workspace.h"
 
 namespace df::serve {
 
@@ -117,10 +116,16 @@ std::shared_ptr<const PocketCache::Entry> PocketCache::lookup(
   entry->center = center;
   entry->voxel_cfg = vc;
   entry->crop_cell_size = cell_size;
+  if (!reserved_.empty()) {
+    entry->storage = std::move(reserved_.back());
+    reserved_.pop_back();
+  }
   {
-    // The entry outlives every batch: its tensors must heap-own their
-    // storage even when the calling worker has an arena bound.
+    // The entry outlives every batch: its tensors must own their storage
+    // even when the calling worker has an arena bound.
     core::Workspace::Unbind unbound;
+    std::optional<core::Workspace::Bind> own;
+    if (entry->storage != nullptr) own.emplace(*entry->storage);
     entry->grid = voxelizer.voxelize_pocket(pocket, center);
     if (!pocket.empty()) {
       std::vector<core::Vec3> pos(pocket.size());
@@ -137,6 +142,17 @@ std::shared_ptr<const PocketCache::Entry> PocketCache::lookup(
     ++stats_.evictions;
   }
   return entry;
+}
+
+void PocketCache::reserve(size_t entries, size_t grid_floats) {
+  std::lock_guard<std::mutex> lock(mu_);
+  while (reserved_.size() < entries) {
+    // A zero-sized first block grows to exactly one grid's borrow.
+    auto ws = std::make_unique<core::Workspace>(0);
+    ws->alloc(static_cast<int64_t>(grid_floats));
+    ws->reset();
+    reserved_.push_back(std::move(ws));
+  }
 }
 
 PocketCache::Stats PocketCache::stats() const {

@@ -2,16 +2,14 @@
 // featurization work.
 //
 // A screening campaign scores thousands of poses against a handful of
-// receptors. The per-batch pocket-grid reuse inside RegressorScorer::score
-// (PR 5) already amortizes the protein voxel splat within one micro-batch,
-// but re-does it every batch — and the v2 feature set (interface H-bond
-// channel) disabled even that, because a ligand-free pocket grid looked
-// unusable. This cache lifts the amortization to the campaign level: an LRU
-// keyed by pocket content holding (a) the protein-only voxel grid, grafted
-// per pose via Voxelizer::voxelize_ligand_onto — the 4-arg overload makes
-// the graft bitwise-valid at v2 too — and (b) the pocket-side CellList the
-// graph featurizer's k-nearest crop queries (GraphFeaturizer::featurize's
-// crop_cells overload).
+// receptors (the paper: four SARS-CoV-2 sites). This LRU keyed by pocket
+// content holds (a) the protein-only voxel grid, grafted per pose via the
+// pocket-aware Voxelizer::voxelize_ligand_onto, which is bitwise-valid at
+// every feature-set version, and (b) the pocket-side CellList the graph
+// featurizer's k-nearest crop queries (GraphFeaturizer::featurize's
+// crop_cells overload). It is RegressorScorer's only pocket route: every
+// replica owns a small private cache, and a ScoringService may share one
+// across all of its replicas instead.
 //
 // Keys are a 64-bit FNV-1a hash over the full pocket content (every atom
 // field bit-exactly), the grid center, the complete VoxelConfig and the
@@ -22,8 +20,9 @@
 //
 // Entries are returned as shared_ptr<const Entry>: eviction drops the
 // cache's reference, never a reader's, so replicas may keep using an entry
-// that was just evicted. Entry tensors heap-own their storage
-// (Workspace::Unbind during the build) — they must survive arena resets.
+// that was just evicted. Entry tensors own their storage — heap buffers
+// (Workspace::Unbind during the build), or an entry-owned arena taken from
+// reserve()'s pool — so they survive the caller's arena resets.
 // All queries on a built entry are const and thread-safe; the cache itself
 // is mutex-guarded and shared across service workers.
 #pragma once
@@ -40,6 +39,7 @@
 #include "chem/molecule.h"
 #include "chem/voxelizer.h"
 #include "core/tensor.h"
+#include "core/workspace.h"
 
 namespace df::serve {
 
@@ -52,8 +52,10 @@ class PocketCache {
     chem::VoxelConfig voxel_cfg;
     float crop_cell_size = 0.0f;
 
-    // The cached work products.
-    core::Tensor grid;          // protein-only voxel grid (heap-owned)
+    // The cached work products. `storage` backs `grid` when the entry was
+    // built from reserved storage (null otherwise: the grid heap-owns).
+    std::unique_ptr<core::Workspace> storage;
+    core::Tensor grid;          // protein-only voxel grid
     chem::CellList crop_cells;  // over atoms' positions; unbuilt when pocket empty
   };
 
@@ -75,6 +77,12 @@ class PocketCache {
                                       const chem::Voxelizer& voxelizer,
                                       const chem::GraphFeaturizer& featurizer);
 
+  /// Pre-allocate storage for the next `entries` builds of a
+  /// `grid_floats`-float grid, so those misses make no tensor heap
+  /// allocation — a compiled replica's first batch stays allocation-free
+  /// (RegressorScorer::reserve_workspaces).
+  void reserve(size_t entries, size_t grid_floats);
+
   Stats stats() const;
   size_t size() const;
   size_t capacity() const { return max_targets_; }
@@ -87,6 +95,7 @@ class PocketCache {
   LruList lru_;  // front = most recent
   std::unordered_map<uint64_t, LruList::iterator> by_key_;
   Stats stats_;
+  std::vector<std::unique_ptr<core::Workspace>> reserved_;  // reserve()'s pool
 };
 
 }  // namespace df::serve

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "core/parallel.h"
-#include "core/threadpool.h"
 #include "dock/scoring.h"
 
 namespace df::serve {
@@ -40,8 +39,13 @@ const std::vector<chem::Atom>& pocket_of(const PoseInput& pose, const std::strin
 
 RegressorScorer::RegressorScorer(std::string name, std::unique_ptr<models::Regressor> model,
                                  const chem::VoxelConfig& voxel,
-                                 const chem::GraphFeaturizerConfig& graph, int featurize_threads)
-    : name_(std::move(name)), model_(std::move(model)), voxelizer_(voxel), featurizer_(graph) {
+                                 const chem::GraphFeaturizerConfig& graph)
+    : name_(std::move(name)),
+      model_(std::move(model)),
+      voxelizer_(voxel),
+      featurizer_(graph),
+      own_cache_(std::make_shared<PocketCache>(kReplicaPocketTargets)),
+      pocket_cache_(own_cache_) {
   if (voxel.feature_set_version != graph.feature_set_version) {
     throw std::invalid_argument(
         "RegressorScorer '" + name_ + "': voxel feature_set_version (" +
@@ -49,35 +53,29 @@ RegressorScorer::RegressorScorer(std::string name, std::unique_ptr<models::Regre
         std::to_string(graph.feature_set_version) + ") — a model is trained against one contract");
   }
   model_->set_training(false);
-  const size_t lanes = featurize_threads > 1 ? static_cast<size_t>(featurize_threads) : 1;
-  feat_ws_.reserve(lanes);
-  for (size_t i = 0; i < lanes; ++i) feat_ws_.push_back(std::make_unique<core::Workspace>());
-  if (lanes > 1) feat_pool_ = std::make_unique<core::ThreadPool>(lanes);
+  set_pipeline_depth(0);
 }
 
-// The stage-pipelined executor (ScorerPipeline): a bounded ring of
-// `depth` micro-batch slots, one background stage thread that featurizes
-// submitted slots strictly in submit order, and a caller-driven collect()
-// that forwards the oldest ready slot. Three monotone sequence numbers
-// (submit / stage / collect) define slot ownership; every handoff goes
-// through mu_, which gives the happens-before edges the unlocked slot
-// bodies rely on. Each slot owns its own featurize-lane arenas, so the
-// stage thread never touches the forward arena a concurrent collect() is
-// using, and steady state stays heap-free once every slot has warmed.
+// The replica's one scoring path: a bounded ring of micro-batch slots
+// (ScorerPipeline). submit() fills a slot and featurize() fills its
+// samples — on one background stage thread at depth >= 1, inline on the
+// submitting thread at depth 0 (score()'s path). collect() forwards the
+// oldest featurized slot. Three monotone sequence numbers (submit / stage /
+// collect) define slot ownership; every handoff goes through mu_, which
+// gives the happens-before edges the unlocked slot bodies rely on. Each
+// slot owns its own featurize arena, so the stage thread never touches the
+// forward arena a concurrent collect() is using, and steady state stays
+// heap-free once every slot has warmed.
 class RegressorScorer::Pipeline : public ScorerPipeline {
  public:
-  Pipeline(RegressorScorer& owner, int depth)
-      : owner_(owner), depth_(depth), slots_(static_cast<size_t>(depth)) {
-    for (Slot& s : slots_) {
-      s.lane_ws.reserve(owner_.feat_ws_.size());
-      for (size_t i = 0; i < owner_.feat_ws_.size(); ++i) {
-        s.lane_ws.push_back(std::make_unique<core::Workspace>());
-      }
-    }
-    stage_ = std::thread([this] { stage_main(); });
+  Pipeline(RegressorScorer& owner, int depth, size_t feat_floats)
+      : owner_(owner), depth_(depth), slots_(static_cast<size_t>(std::max(depth, 1))) {
+    reserve(feat_floats);
+    if (depth_ >= 1) stage_ = std::thread([this] { stage_main(); });
   }
 
   ~Pipeline() override {
+    if (!stage_.joinable()) return;
     {
       std::lock_guard<std::mutex> lock(mu_);
       stop_ = true;
@@ -95,14 +93,27 @@ class RegressorScorer::Pipeline : public ScorerPipeline {
 
   void submit(std::vector<const PoseInput*> poses) override {
     std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return submit_seq_ - collect_seq_ < static_cast<uint64_t>(depth_); });
-    Slot& s = slots_[static_cast<size_t>(submit_seq_ % slots_.size())];
+    cv_.wait(lock, [&] { return submit_seq_ - collect_seq_ < slots_.size(); });
+    Slot& s = slot(submit_seq_);
     s.poses = std::move(poses);
     ++submit_seq_;
+    if (depth_ == 0) {
+      lock.unlock();
+      featurize(s);
+      lock.lock();
+      ++stage_seq_;
+    }
     cv_.notify_all();
   }
 
   std::vector<float> collect() override {
+    ReplicaGuard guard(owner_.busy_);
+    return forward_oldest();
+  }
+
+  /// The one forward-plus-stats body, for collect() and score() alike
+  /// (the caller holds the replica guard).
+  std::vector<float> forward_oldest() {
     {
       std::unique_lock<std::mutex> lock(mu_);
       if (collect_seq_ == submit_seq_) {
@@ -111,18 +122,18 @@ class RegressorScorer::Pipeline : public ScorerPipeline {
       cv_.wait(lock, [&] { return collect_seq_ < stage_seq_; });
     }
     // The slot is exclusively ours until collect_seq_ advances: the stage
-    // thread only touches slots with index < submit_seq_ not yet staged,
-    // and submit() refuses to reuse the slot while it counts as in flight.
-    Slot& s = slots_[static_cast<size_t>(collect_seq_ % slots_.size())];
-    if (s.error) {
-      std::exception_ptr err = s.error;
-      s.error = nullptr;
-      release_slot(s);
-      std::rethrow_exception(err);
-    }
+    // thread only touches slots submitted but not yet staged, and submit()
+    // refuses to reuse the slot while it counts as in flight. The slot is
+    // released however this body exits — a featurize error rethrown here or
+    // a throwing forward leaves the pipeline usable.
+    Slot& s = slot(collect_seq_);
+    struct Release {
+      Pipeline& p;
+      Slot& s;
+      ~Release() { p.release(s); }
+    } release{*this, s};
+    if (s.error) std::rethrow_exception(std::exchange(s.error, nullptr));
 
-    ReplicaGuard guard(owner_.busy_);
-    const size_t n = s.poses.size();
     const auto t1 = std::chrono::steady_clock::now();
     std::vector<float> out;
     {
@@ -134,37 +145,92 @@ class RegressorScorer::Pipeline : public ScorerPipeline {
       out = owner_.model_->predict_batch(ptrs);
     }
     const auto t2 = std::chrono::steady_clock::now();
-    {
-      std::lock_guard<std::mutex> slock(owner_.stats_mu_);
-      owner_.stats_.batches += 1;
-      owner_.stats_.poses += n;
-      owner_.stats_.featurize_seconds += s.featurize_seconds;
-      owner_.stats_.forward_seconds += std::chrono::duration<double>(t2 - t1).count();
-    }
-    release_slot(s);
+    std::lock_guard<std::mutex> slock(owner_.stats_mu_);
+    owner_.stats_.batches += 1;
+    owner_.stats_.poses += s.poses.size();
+    owner_.stats_.featurize_seconds += s.featurize_seconds;
+    owner_.stats_.forward_seconds += std::chrono::duration<double>(t2 - t1).count();
     return out;
   }
 
+  /// Widest slot arena, and pre-growing every slot arena to `floats`.
+  size_t feat_capacity() const {
+    size_t widest = 0;
+    for (const Slot& s : slots_) widest = std::max(widest, s.feat_ws.capacity());
+    return widest;
+  }
+  void reserve(size_t floats) {
+    for (Slot& s : slots_) s.feat_ws.reserve(floats);
+  }
+
  private:
+  /// One distinct (pocket, site center) of a batch and its cache entry,
+  /// pinned alive until the batch is collected.
+  struct Site {
+    const std::vector<chem::Atom>* pocket;
+    core::Vec3 center;
+    std::shared_ptr<const PocketCache::Entry> entry;
+  };
   struct Slot {
     std::vector<const PoseInput*> poses;
     std::vector<data::Sample> batch;
-    std::vector<core::Tensor> grids;
-    std::vector<std::shared_ptr<const PocketCache::Entry>> cache_refs;
-    // Per-slot lane arenas (index 0 doubles as the grid arena): feature
-    // tensors live here from stage until the forward consumes them.
-    std::vector<std::unique_ptr<core::Workspace>> lane_ws;
+    std::vector<Site> sites;
+    core::Workspace feat_ws;  // feature tensors live here until the forward
     std::exception_ptr error;
     double featurize_seconds = 0.0;
   };
 
-  void release_slot(Slot& s) {
+  Slot& slot(uint64_t seq) { return slots_[static_cast<size_t>(seq % slots_.size())]; }
+
+  /// The one featurize body. The poses of a batch overwhelmingly dock into
+  /// one shared pocket, whose voxel block and crop cell list are
+  /// pose-independent: each distinct (pocket, center) is looked up in the
+  /// pocket cache once per batch, then per pose only the ligand is splatted
+  /// and the cached block grafted — bitwise identical to the joint
+  /// voxelization at every feature-set version.
+  void featurize(Slot& s) {
+    const auto f0 = std::chrono::steady_clock::now();
+    try {
+      s.feat_ws.reset();
+      s.batch.clear();
+      s.batch.resize(s.poses.size());
+      s.sites.clear();
+      // Bind (not Scope): the samples carved here must outlive featurize —
+      // they feed the forward and die at the slot's next reset.
+      core::Workspace::Bind bind(s.feat_ws);
+      for (size_t i = 0; i < s.poses.size(); ++i) {
+        const PoseInput& p = *s.poses[i];
+        const std::vector<chem::Atom>& pocket = pocket_of(p, owner_.name_);
+        auto site = std::find_if(s.sites.begin(), s.sites.end(), [&](const Site& x) {
+          return x.pocket == &pocket && x.center.x == p.site_center.x &&
+                 x.center.y == p.site_center.y && x.center.z == p.site_center.z;
+        });
+        if (site == s.sites.end()) {
+          s.sites.push_back({&pocket, p.site_center,
+                             owner_.pocket_cache_->lookup(pocket, p.site_center, owner_.voxelizer_,
+                                                          owner_.featurizer_)});
+          site = s.sites.end() - 1;
+        }
+        const PocketCache::Entry& e = *site->entry;
+        s.batch[i].voxel =
+            owner_.voxelizer_.voxelize_ligand_onto(p.ligand, pocket, e.grid, p.site_center);
+        s.batch[i].graph = owner_.featurizer_.featurize(
+            p.ligand, pocket, e.crop_cells.built() ? &e.crop_cells : nullptr);
+      }
+    } catch (...) {
+      s.error = std::current_exception();
+    }
+    s.featurize_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - f0).count();
+  }
+
+  void release(Slot& s) {
     // Drop pose pointers and cache pins eagerly — the poses belong to the
     // caller's request, the cache entries should become evictable. The
     // batch tensors are arena-borrowed; the slot's next occupant rewinds
-    // the arenas before reuse.
+    // the arena before reuse.
     s.poses.clear();
-    s.cache_refs.clear();
+    s.sites.clear();
     {
       std::lock_guard<std::mutex> lock(mu_);
       ++collect_seq_;
@@ -181,18 +247,9 @@ class RegressorScorer::Pipeline : public ScorerPipeline {
     for (;;) {
       cv_.wait(lock, [&] { return stop_ || stage_seq_ < submit_seq_; });
       if (stop_) return;
-      Slot& s = slots_[static_cast<size_t>(stage_seq_ % slots_.size())];
+      Slot& s = slot(stage_seq_);
       lock.unlock();
-      const auto f0 = std::chrono::steady_clock::now();
-      try {
-        for (auto& ws : s.lane_ws) ws->reset();
-        owner_.featurize_batch(s.poses, s.batch, s.lane_ws, owner_.feat_pool_.get(),
-                               *s.lane_ws[0], s.grids, s.cache_refs);
-      } catch (...) {
-        s.error = std::current_exception();
-      }
-      s.featurize_seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - f0).count();
+      featurize(s);
       lock.lock();
       ++stage_seq_;
       cv_.notify_all();
@@ -205,33 +262,42 @@ class RegressorScorer::Pipeline : public ScorerPipeline {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   uint64_t submit_seq_ = 0;   // next slot to fill
-  uint64_t stage_seq_ = 0;    // next slot the stage thread featurizes
+  uint64_t stage_seq_ = 0;    // next slot to featurize
   uint64_t collect_seq_ = 0;  // next slot the forward consumes
   bool stop_ = false;
-  std::thread stage_;
+  std::thread stage_;  // not started at depth 0
 };
 
 RegressorScorer::~RegressorScorer() {
   pipeline_.reset();  // join the stage thread before any member dies
 }
 
-ScorerPipeline* RegressorScorer::pipeline() { return pipeline_.get(); }
+ScorerPipeline* RegressorScorer::pipeline() {
+  return pipeline_->depth() >= 1 ? pipeline_.get() : nullptr;
+}
 
 void RegressorScorer::set_pipeline_depth(int depth) {
-  if (pipeline_ != nullptr && pipeline_->in_flight() > 0) {
-    throw std::logic_error("RegressorScorer '" + name_ +
-                           "': set_pipeline_depth with batches in flight");
+  depth = std::max(depth, 0);
+  if (pipeline_ != nullptr) {
+    if (pipeline_->in_flight() > 0) {
+      throw std::logic_error("RegressorScorer '" + name_ +
+                             "': set_pipeline_depth with batches in flight");
+    }
+    if (pipeline_->depth() == depth) return;
   }
+  // The new ring's slots start as wide as the widest old one: warmed or
+  // reserved arenas survive a depth change.
+  const size_t feat_floats = pipeline_ != nullptr ? pipeline_->feat_capacity() : 0;
   pipeline_.reset();
-  if (depth >= 1) pipeline_ = std::make_unique<Pipeline>(*this, depth);
+  pipeline_ = std::make_unique<Pipeline>(*this, depth, feat_floats);
 }
 
 void RegressorScorer::set_pocket_cache(std::shared_ptr<PocketCache> cache) {
-  if (pipeline_ != nullptr && pipeline_->in_flight() > 0) {
+  if (pipeline_->in_flight() > 0) {
     throw std::logic_error("RegressorScorer '" + name_ +
                            "': set_pocket_cache with batches in flight");
   }
-  pocket_cache_ = std::move(cache);
+  pocket_cache_ = cache != nullptr ? std::move(cache) : own_cache_;
 }
 
 RegressorScorer::PhaseStats RegressorScorer::phase_stats() const {
@@ -240,135 +306,26 @@ RegressorScorer::PhaseStats RegressorScorer::phase_stats() const {
 }
 
 RegressorScorer::WorkspaceBudgets RegressorScorer::workspace_capacities() const {
-  WorkspaceBudgets b;
-  b.forward_floats = forward_ws_.capacity();
-  for (const auto& ws : feat_ws_) b.feat_floats = std::max(b.feat_floats, ws->capacity());
-  return b;
+  return {forward_ws_.capacity(), pipeline_->feat_capacity()};
 }
 
 void RegressorScorer::reserve_workspaces(const WorkspaceBudgets& budgets) {
   forward_ws_.reserve(budgets.forward_floats);
-  for (auto& ws : feat_ws_) ws->reserve(budgets.feat_floats);
-}
-
-void RegressorScorer::featurize_batch(
-    const std::vector<const PoseInput*>& poses, std::vector<data::Sample>& batch,
-    std::vector<std::unique_ptr<core::Workspace>>& lane_ws, core::ThreadPool* pool,
-    core::Workspace& grid_ws, std::vector<core::Tensor>& grids,
-    std::vector<std::shared_ptr<const PocketCache::Entry>>& cache_refs) {
-  const size_t n = poses.size();
-  batch.clear();
-  batch.resize(n);
-  grids.clear();
-  cache_refs.clear();
-
-  // Amortize pocket splatting: the poses of a batch overwhelmingly dock
-  // into one shared pocket, whose voxel block is pose-independent. Build
-  // each distinct (pocket, center) grid once — or fetch it from the
-  // cross-request cache, which also hands back the crop CellList — then
-  // per pose splat only the ligand and graft the cached block, bitwise
-  // identical to the joint voxelization. Without a cache, v2's H-bond
-  // channel couples ligand and pocket and each pose falls back to a full
-  // joint voxelize (the PR 9 behaviour); cache entries route through the
-  // pocket-aware graft, which re-derives the coupling per pose and is
-  // valid at every feature-set version.
-  const bool use_cache = pocket_cache_ != nullptr;
-  const bool amortize_pocket = use_cache || voxelizer_.config().feature_set_version < 2;
-  std::vector<const core::Tensor*> pocket_grid(n, nullptr);
-  std::vector<const chem::CellList*> crop_cells(n, nullptr);
-  std::vector<std::pair<const std::vector<chem::Atom>*, core::Vec3>> grid_keys;
-  grids.reserve(n);  // pointers into `grids` are handed out below
-  if (amortize_pocket) {
-    // Cache lookups build heap-owned entries (Workspace::Unbind inside);
-    // only the per-batch grids bind the grid arena.
-    for (size_t i = 0; i < n; ++i) {
-      const PoseInput& p = *poses[i];
-      const std::vector<chem::Atom>& pocket = pocket_of(p, name_);
-      size_t g = 0;
-      for (; g < grid_keys.size(); ++g) {
-        if (grid_keys[g].first == &pocket && grid_keys[g].second.x == p.site_center.x &&
-            grid_keys[g].second.y == p.site_center.y && grid_keys[g].second.z == p.site_center.z)
-          break;
-      }
-      if (g == grid_keys.size()) {
-        grid_keys.emplace_back(&pocket, p.site_center);
-        if (use_cache) {
-          cache_refs.push_back(pocket_cache_->lookup(pocket, p.site_center, voxelizer_, featurizer_));
-        } else {
-          core::Workspace::Bind bind(grid_ws);
-          grids.push_back(voxelizer_.voxelize_pocket(pocket, p.site_center));
-        }
-      }
-      if (use_cache) {
-        pocket_grid[i] = &cache_refs[g]->grid;
-        crop_cells[i] = cache_refs[g]->crop_cells.built() ? &cache_refs[g]->crop_cells : nullptr;
-      } else {
-        pocket_grid[i] = &grids[g];
-      }
-    }
-  }
-
-  const size_t lanes = std::min(lane_ws.size(), std::max<size_t>(n, 1));
-  auto featurize_lane = [&](size_t lane) {
-    // Bind (not Scope): the samples carved here must outlive the lane —
-    // they feed the forward stage and die at the owner's next reset.
-    core::Workspace::Bind bind(*lane_ws[lane]);
-    const size_t begin = n * lane / lanes;
-    const size_t end = n * (lane + 1) / lanes;
-    for (size_t i = begin; i < end; ++i) {
-      const PoseInput& p = *poses[i];
-      const std::vector<chem::Atom>& pocket = pocket_of(p, name_);
-      batch[i].voxel =
-          pocket_grid[i] != nullptr
-              ? voxelizer_.voxelize_ligand_onto(p.ligand, pocket, *pocket_grid[i], p.site_center)
-              : voxelizer_.voxelize(p.ligand, pocket, p.site_center);
-      batch[i].graph = featurizer_.featurize(p.ligand, pocket, crop_cells[i]);
-    }
-  };
-  if (pool != nullptr && lanes > 1) {
-    core::parallel_for(*pool, lanes, featurize_lane);
-  } else {
-    featurize_lane(0);
-  }
+  pipeline_->reserve(budgets.feat_floats);
+  const chem::VoxelConfig& vc = voxelizer_.config();
+  own_cache_->reserve(kReplicaPocketTargets,
+                      static_cast<size_t>(vc.channels()) * vc.grid_dim * vc.grid_dim * vc.grid_dim);
 }
 
 std::vector<float> RegressorScorer::score(const std::vector<const PoseInput*>& poses) {
-  if (pipeline_ != nullptr && pipeline_->in_flight() > 0) {
+  if (pipeline_->in_flight() > 0) {
     throw std::logic_error("RegressorScorer '" + name_ +
                            "': score() while pipelined batches are in flight — "
                            "collect() them first");
   }
   ReplicaGuard guard(busy_);
-  const auto t0 = std::chrono::steady_clock::now();
-  // Rewind the arenas: last batch's tensors are dead, their blocks get
-  // reused cache-warm. After warmup no call below touches the heap for
-  // tensor data.
-  forward_ws_.reset();
-  for (auto& ws : feat_ws_) ws->reset();
-
-  std::vector<data::Sample> batch;
-  std::vector<core::Tensor> grids;
-  std::vector<std::shared_ptr<const PocketCache::Entry>> cache_refs;
-  featurize_batch(poses, batch, feat_ws_, feat_pool_.get(), forward_ws_, grids, cache_refs);
-  const auto t1 = std::chrono::steady_clock::now();
-
-  std::vector<const data::Sample*> ptrs;
-  ptrs.reserve(batch.size());
-  for (const data::Sample& s : batch) ptrs.push_back(&s);
-  std::vector<float> out;
-  {
-    core::Workspace::Bind bind(forward_ws_);
-    out = model_->predict_batch(ptrs);
-  }
-  const auto t2 = std::chrono::steady_clock::now();
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.batches += 1;
-    stats_.poses += poses.size();
-    stats_.featurize_seconds += std::chrono::duration<double>(t1 - t0).count();
-    stats_.forward_seconds += std::chrono::duration<double>(t2 - t1).count();
-  }
-  return out;
+  pipeline_->submit(poses);
+  return pipeline_->forward_oldest();
 }
 
 std::vector<float> VinaPkScorer::score(const std::vector<const PoseInput*>& poses) {

@@ -28,10 +28,6 @@
 #include "models/regressor.h"
 #include "serve/pocket_cache.h"
 
-namespace df::core {
-class ThreadPool;
-}
-
 namespace df::serve {
 
 /// One docked pose to score: a posed ligand conformer plus the (borrowed)
@@ -89,6 +85,7 @@ class Scorer {
   /// Enable stage pipelining with up to `depth` batches in flight; depth
   /// <= 0 tears the pipeline down (sequential path). Must not be called
   /// with batches in flight. Backends without a pipelined path ignore it.
+  /// The ScoringService calls this with ServiceConfig::pipeline_depth.
   virtual void set_pipeline_depth(int /*depth*/) {}
   /// Share a cross-request pocket cache with this replica (may be shared
   /// by many replicas; PocketCache is thread-safe). Backends that do not
@@ -114,6 +111,17 @@ class ReplicaGuard {
 /// and runs the model's batched eval path — the per-rank "featurize and
 /// score" loop of paper Fig. 3, packaged as a replica.
 ///
+/// One scoring path: score() is a submit + collect on the replica's own
+/// stage pipeline (ScorerPipeline), which at depth 0 featurizes inline on
+/// the caller with no stage thread. Featurize and forward-plus-stats each
+/// have exactly one body, so sequential and pipelined scores cannot drift.
+///
+/// Pocket work is amortized through a PocketCache: every replica owns a
+/// small private one (kReplicaPocketTargets receptors), which a service's
+/// shared cache replaces (set_pocket_cache). Per pose only the ligand is
+/// splatted and grafted onto the cached pocket grid, bitwise identical to
+/// the joint voxelization at every feature-set version.
+///
 /// Serving hot path: all tensor scratch (featurizer outputs, every layer
 /// temporary of the batched forward) is carved from per-replica
 /// core::Workspace arenas that are rewound — not freed — between batches,
@@ -121,36 +129,33 @@ class ReplicaGuard {
 /// (core::alloc_count() pins this in tests). The arenas are replica state:
 /// they follow the same single-threaded replica contract as the model
 /// (models/regressor.h) and must never be shared across workers.
-///
-/// With `featurize_threads` > 1 the featurization of a micro-batch fans out
-/// over a small private lane pool (contiguous pose chunks, one arena per
-/// lane); featurization is per-pose pure, so results are identical to the
-/// serial loop. Lanes are extra threads per replica — size them against the
-/// service's worker count (a few lanes pay off when workers < cores or the
-/// batch is featurize-bound).
 class RegressorScorer : public Scorer {
  public:
+  /// Receptors the private pocket cache holds: the paper screens against
+  /// four SARS-CoV-2 binding sites.
+  static constexpr size_t kReplicaPocketTargets = 4;
+
   RegressorScorer(std::string name, std::unique_ptr<models::Regressor> model,
-                  const chem::VoxelConfig& voxel, const chem::GraphFeaturizerConfig& graph,
-                  int featurize_threads = 0);
+                  const chem::VoxelConfig& voxel, const chem::GraphFeaturizerConfig& graph);
   ~RegressorScorer() override;
 
   std::string name() const override { return name_; }
   std::vector<float> score(const std::vector<const PoseInput*>& poses) override;
 
-  /// Stage-pipelined execution (see ScorerPipeline). The featurize stage
-  /// runs on one background thread per replica; each ring slot owns its
-  /// own lane arenas, so steady state stays at zero tensor heap
-  /// allocations at any depth. While batches are in flight, score() and
-  /// the knob setters throw rather than race the stage thread.
+  /// Stage-pipelined execution (see ScorerPipeline), non-null at depth >= 1.
+  /// The featurize stage runs on one background thread per replica; each
+  /// ring slot owns its own featurize arena, so steady state stays at zero
+  /// tensor heap allocations at any depth. While batches are in flight,
+  /// score() and the knob setters throw rather than race the stage thread.
   ScorerPipeline* pipeline() override;
   void set_pipeline_depth(int depth) override;
+  /// Share `cache` with this replica; nullptr restores the private cache.
   void set_pocket_cache(std::shared_ptr<PocketCache> cache) override;
 
   /// Cumulative wall-time split of scoring on this replica — the
   /// featurize/forward phase breakdown reported by bench_service_throughput.
-  /// Pipelined batches account at collect() time; returned by value because
-  /// the stage thread updates concurrently.
+  /// Batches account at collect time; returned by value because the stage
+  /// thread updates concurrently.
   struct PhaseStats {
     uint64_t batches = 0;
     uint64_t poses = 0;
@@ -161,45 +166,29 @@ class RegressorScorer : public Scorer {
 
   /// Steady-state arena high-water marks. Measured on a warmed donor
   /// replica, they become the workspace budgets a compiled artifact carries
-  /// (compile::save_compiled); feat_floats is the widest featurize lane.
+  /// (compile::save_compiled); feat_floats is the widest featurize slot.
   struct WorkspaceBudgets {
     size_t forward_floats = 0;
     size_t feat_floats = 0;
   };
   WorkspaceBudgets workspace_capacities() const;
-  /// Pre-grow the arenas to the given budgets so the replica's first score()
-  /// call (and every one after) performs zero tensor heap allocations —
-  /// the compiled-artifact cold-start path.
+  /// Pre-grow the arenas to the given budgets, and the private pocket
+  /// cache's grid storage, so the replica's first score() call (and every
+  /// one after) performs zero tensor heap allocations — the
+  /// compiled-artifact cold-start path.
   void reserve_workspaces(const WorkspaceBudgets& budgets);
 
  private:
   class Pipeline;
-
-  /// Featurize `poses` into `batch` using the given lane arenas: the shared
-  /// body of the sequential score() path and the pipeline's featurize
-  /// stage. Per-batch pocket grids are carved from `grid_ws`; with a pocket
-  /// cache attached the grids (and the graph crop's CellList) come from
-  /// cache entries instead, pinned alive for the batch via `cache_refs` —
-  /// which also makes pocket-grid amortization valid at feature-set v2
-  /// (the 4-arg voxelize_ligand_onto graft).
-  void featurize_batch(const std::vector<const PoseInput*>& poses,
-                       std::vector<data::Sample>& batch,
-                       std::vector<std::unique_ptr<core::Workspace>>& lane_ws,
-                       core::ThreadPool* pool, core::Workspace& grid_ws,
-                       std::vector<core::Tensor>& grids,
-                       std::vector<std::shared_ptr<const PocketCache::Entry>>& cache_refs);
 
   std::string name_;
   std::unique_ptr<models::Regressor> model_;
   chem::Voxelizer voxelizer_;
   chem::GraphFeaturizer featurizer_;
   std::atomic<bool> busy_{false};
-  // One arena per featurize lane (index 0 doubles as the serial lane) plus
-  // one for the model forward; reset at the top of every score() call.
-  std::vector<std::unique_ptr<core::Workspace>> feat_ws_;
-  core::Workspace forward_ws_;
-  std::unique_ptr<core::ThreadPool> feat_pool_;  // null when serial
-  std::shared_ptr<PocketCache> pocket_cache_;
+  core::Workspace forward_ws_;  // rewound at the top of every forward
+  std::shared_ptr<PocketCache> own_cache_;     // the private cache
+  std::shared_ptr<PocketCache> pocket_cache_;  // own_cache_ or a shared one
   mutable std::mutex stats_mu_;
   PhaseStats stats_;
   // Last member: its stage thread touches everything above, so it must be

@@ -27,7 +27,6 @@ const char* score_error_name(ScoreError e) {
 struct ScoringService::Pending {
   std::vector<PoseInput> poses;
   std::string scorer;
-  std::string client;
   std::promise<ScoreResponse> promise;
   std::vector<float> scores;
   size_t remaining = 0;
@@ -52,12 +51,18 @@ struct ScoringService::Slice {
   std::chrono::steady_clock::time_point enqueued;
 };
 
-/// A micro-batch a worker has submitted to its replica's stage pipeline
-/// and not yet collected. The parts pin their Pending owners (and thus the
-/// pose storage the featurize stage reads) until copy-back.
+/// A micro-batch a worker has dispatched and not yet collected. The parts
+/// pin their Pending owners (and thus the pose storage the featurize stage
+/// reads) until copy-back. A pipelined batch was submitted to `pipe`; any
+/// other batch keeps its poses for `replica->score()` at collect time, and
+/// a batch whose replica could not be built carries the error instead.
 struct ScoringService::InFlight {
   std::vector<Slice> parts;
   size_t total = 0;
+  Scorer* replica = nullptr;
+  ScorerPipeline* pipe = nullptr;
+  std::vector<const PoseInput*> poses;
+  std::string err;
 };
 
 namespace {
@@ -110,7 +115,6 @@ std::future<ScoreResponse> ScoringService::submit(ScoreRequest req) {
 
   auto pending = std::make_shared<Pending>();
   pending->scorer = std::move(req.scorer);
-  pending->client = std::move(req.client);
   pending->poses = std::move(req.poses);
   const size_t n = pending->poses.size();
   pending->scores.resize(n, 0.0f);
@@ -242,11 +246,10 @@ Scorer& ScoringService::replica_for(std::map<std::string, std::unique_ptr<Scorer
     std::lock_guard<std::mutex> build(build_mu_);
     replica = factories_.at(name)();
   }
-  // Service-level knobs layer on top of whatever the registry minted: a
-  // 0 depth leaves a registry-configured pipeline in place rather than
-  // tearing it down, and the shared pocket cache attaches to every
-  // replica that can use one (no-op virtuals otherwise).
-  if (cfg_.pipeline_depth > 0) replica->set_pipeline_depth(cfg_.pipeline_depth);
+  // The service is the one place pipeline depth is set, and its shared
+  // pocket cache replaces each replica's private one (no-op virtuals on
+  // backends that neither pipeline nor featurize).
+  replica->set_pipeline_depth(cfg_.pipeline_depth);
   if (pocket_cache_ != nullptr) replica->set_pocket_cache(pocket_cache_);
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -264,35 +267,36 @@ void ScoringService::worker_loop() {
   std::map<std::string, std::unique_ptr<Scorer>> replicas;
   uint64_t seen_warmup = 0;
 
-  // Pipelined dispatch state: micro-batches this worker has submitted to
-  // its replica's pipeline and not yet collected. All entries belong to
-  // `inflight_name`'s replica and come back strictly FIFO, so copy-back
-  // content is identical to sequential dispatch — only its timing moves.
+  // Dispatched micro-batches not yet collected. All entries belong to one
+  // scorer's replica and come back strictly FIFO, so copy-back content is
+  // identical at any pipeline depth — only its timing moves. Batches on a
+  // replica without a pipeline are collected right after dispatch.
   std::deque<InFlight> inflight;
-  std::string inflight_name;
-  Scorer* inflight_replica = nullptr;
 
   std::unique_lock<std::mutex> lock(mu_);
 
-  // Collect the oldest in-flight micro-batch: run its forward on the
-  // replica, copy scores back, resolve finished requests. Called with the
-  // lock held; cycles it around the compute.
+  // Collect the oldest in-flight micro-batch: finish it on the replica,
+  // copy scores back, resolve finished requests. Called with the lock held;
+  // cycles it around the compute. The service's one copy-back path.
   const auto collect_one = [&] {
     InFlight fl = std::move(inflight.front());
     inflight.pop_front();
     lock.unlock();
+    const std::string& name = fl.parts.front().owner->scorer;
     std::vector<float> out;
-    std::string err;
-    try {
-      out = inflight_replica->pipeline()->collect();
-      if (out.size() != fl.total) {
-        err = "scorer '" + inflight_name + "' returned " + std::to_string(out.size()) +
-              " scores for " + std::to_string(fl.total) + " poses";
+    std::string err = std::move(fl.err);
+    if (err.empty()) {
+      try {
+        out = fl.pipe != nullptr ? fl.pipe->collect() : fl.replica->score(fl.poses);
+        if (out.size() != fl.total) {
+          err = "scorer '" + name + "' returned " + std::to_string(out.size()) +
+                " scores for " + std::to_string(fl.total) + " poses";
+        }
+      } catch (const std::exception& e) {
+        err = e.what();
+      } catch (...) {
+        err = "unknown exception from scorer '" + name + "'";
       }
-    } catch (const std::exception& e) {
-      err = e.what();
-    } catch (...) {
-      err = "unknown exception from scorer '" + inflight_name + "'";
     }
     std::vector<std::shared_ptr<Pending>> done;
     lock.lock();
@@ -442,7 +446,7 @@ void ScoringService::worker_loop() {
 
     // A pipeline holds batches for one scorer at a time: drain foreign
     // batches before dispatching to a different replica.
-    if (!inflight.empty() && name != inflight_name) {
+    if (!inflight.empty() && name != inflight.front().parts.front().owner->scorer) {
       collect_one();
       continue;  // the queue may have changed shape while unlocked
     }
@@ -485,84 +489,31 @@ void ScoringService::worker_loop() {
     space_cv_.notify_all();
     lock.unlock();
 
-    // Score the micro-batch on this worker's private replica.
-    std::vector<float> out;
-    std::string err;
-    Scorer* replica = nullptr;
+    // Dispatch the micro-batch to this worker's private replica. A
+    // pipelined replica takes it into its featurize stage and the worker
+    // goes back for more work; the forward runs at collect_one() — at the
+    // latest once the ring is full — so batch N+1's featurization overlaps
+    // batch N's forward. Any other replica scores it at collect_one() now.
+    InFlight fl;
+    fl.parts = std::move(parts);
+    fl.total = total;
     try {
-      replica = &replica_for(replicas, name);
+      fl.replica = &replica_for(replicas, name);
+      fl.pipe = fl.replica->pipeline();
     } catch (const std::exception& e) {
-      err = e.what();
+      fl.err = e.what();
     } catch (...) {
-      err = "unknown exception from scorer '" + name + "'";
+      fl.err = "unknown exception from scorer '" + name + "'";
     }
-
-    if (err.empty() && replica->pipeline() != nullptr) {
-      // Pipelined dispatch: hand the batch to the featurize stage and go
-      // back for more work. The forward runs at collect_one() — at the
-      // latest once the ring is full — so batch N+1's featurization
-      // overlaps batch N's forward.
-      std::vector<const PoseInput*> ptrs;
-      ptrs.reserve(total);
-      for (const Slice& p : parts) {
-        for (size_t i = p.begin; i < p.end; ++i) ptrs.push_back(&p.owner->poses[i]);
-      }
-      ScorerPipeline& pipe = *replica->pipeline();
-      pipe.submit(std::move(ptrs));
-      lock.lock();
-      inflight.push_back(InFlight{std::move(parts), total});
-      inflight_name = name;
-      inflight_replica = replica;
-      if (inflight.size() >= static_cast<size_t>(pipe.depth())) collect_one();
-      continue;
+    fl.poses.reserve(total);
+    for (const Slice& p : fl.parts) {
+      for (size_t i = p.begin; i < p.end; ++i) fl.poses.push_back(&p.owner->poses[i]);
     }
-
-    if (err.empty()) {
-      try {
-        std::vector<const PoseInput*> ptrs;
-        ptrs.reserve(total);
-        for (const Slice& p : parts) {
-          for (size_t i = p.begin; i < p.end; ++i) ptrs.push_back(&p.owner->poses[i]);
-        }
-        out = replica->score(ptrs);
-        if (out.size() != total) {
-          err = "scorer '" + name + "' returned " + std::to_string(out.size()) + " scores for " +
-                std::to_string(total) + " poses";
-        }
-      } catch (const std::exception& e) {
-        err = e.what();
-      } catch (...) {
-        err = "unknown exception from scorer '" + name + "'";
-      }
-    }
-
-    std::vector<std::shared_ptr<Pending>> done;
+    if (fl.pipe != nullptr) fl.pipe->submit(std::move(fl.poses));
+    const size_t depth = fl.pipe != nullptr ? static_cast<size_t>(fl.pipe->depth()) : 1;
     lock.lock();
-    const auto finished = std::chrono::steady_clock::now();
-    size_t off = 0;
-    for (const Slice& p : parts) {
-      const size_t len = p.end - p.begin;
-      if (err.empty()) {
-        std::copy(out.begin() + static_cast<long>(off), out.begin() + static_cast<long>(off + len),
-                  p.owner->scores.begin() + static_cast<long>(p.begin));
-      } else if (!p.owner->failed) {
-        p.owner->failed = true;
-        p.owner->error = ScoreError::kScorerFailure;
-        p.owner->fail_msg = err;
-      }
-      off += len;
-      p.owner->remaining -= len;
-      if (p.owner->remaining == 0) {
-        stats_.latency.record_seconds(
-            std::chrono::duration<double>(finished - p.owner->accepted).count());
-        done.push_back(p.owner);
-      }
-    }
-    inflight_poses_ -= total;
-    if (queued_poses_ == 0 && inflight_poses_ == 0) drain_cv_.notify_all();
-    lock.unlock();
-    for (const auto& owner : done) fulfill(owner);
-    lock.lock();
+    inflight.push_back(std::move(fl));
+    if (inflight.size() >= depth) collect_one();
   }
 }
 

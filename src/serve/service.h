@@ -17,8 +17,9 @@
 //   * Dynamic micro-batcher. Workers coalesce poses for the same scorer
 //     across requests (and so across clients) up to `poses_per_batch`; a
 //     partial batch waits at most `flush_deadline_ms` for company before it
-//     dispatches. One worker = one in-flight micro-batch on that worker's
-//     private model replica (built lazily from the registry).
+//     dispatches. Each worker scores on its own private model replicas
+//     (built lazily from the registry), with up to `pipeline_depth`
+//     micro-batches in flight.
 //   * Typed errors. Unknown scorer, full queue, shutdown and scorer
 //     exceptions come back as ScoreError values on the response, never as
 //     exceptions out of submit().
@@ -65,7 +66,8 @@ const char* score_error_name(ScoreError e);
 struct ScoreRequest {
   std::string scorer;            // registry name
   std::vector<PoseInput> poses;  // pocket pointers must outlive the future
-  std::string client;            // optional tag, echoed into stats/logs
+  std::string client;            // optional caller tag; carried over the wire,
+                                 // not read by the service
   double deadline_ms = 0;        // > 0 bounds backpressure blocking AND queue
                                  // wait: past the deadline the future resolves
                                  // kTimeout instead of waiting for a worker
@@ -86,22 +88,22 @@ struct ServiceConfig {
   bool block_when_full = true;    // false: fail fast with kQueueFull
   double flush_deadline_ms = 0.2; // max wait to fill a partial batch
   bool ordered_stream = false;    // deterministic batching (see header)
-  // Stage pipelining: > 0 calls set_pipeline_depth(pipeline_depth) on every
-  // replica this service builds, and workers drive submit()/collect()
-  // instead of score() — up to `pipeline_depth` micro-batches in flight per
-  // worker, featurize overlapping the previous batch's forward. Results are
-  // bitwise identical to the sequential path at any depth (batch
-  // composition and per-batch compute are unchanged; only overlap timing
-  // moves), so ordered_stream keeps its determinism guarantee. 0 leaves
-  // replicas as the registry minted them (a registry-level depth still
-  // applies); backends without a pipelined path are unaffected.
+  // Stage pipelining, and the only place its depth is set: every replica
+  // this service builds gets set_pipeline_depth(pipeline_depth). At > 0
+  // workers drive submit()/collect() on pipelined replicas — up to
+  // `pipeline_depth` micro-batches in flight per worker, featurize
+  // overlapping the previous batch's forward. Results are bitwise identical
+  // to depth 0 (batch composition and per-batch compute are unchanged; only
+  // overlap timing moves), so ordered_stream keeps its determinism
+  // guarantee. Backends without a pipelined path are unaffected.
   int pipeline_depth = 0;
   // Cross-request pocket cache: > 0 creates one serve::PocketCache of this
   // capacity (distinct receptor targets, LRU) shared by every replica of
-  // the service — pocket voxel grids and graph-crop cell lists are then
-  // computed once per target instead of once per batch. Hits are verified
-  // by exact pocket content, and cached featurization is bitwise identical
-  // to uncached. 0 disables.
+  // the service, replacing each replica's small private cache — pocket
+  // voxel grids and graph-crop cell lists are then computed once per
+  // target per service instead of once per target per replica. Hits are
+  // verified by exact pocket content, and cached featurization is bitwise
+  // identical to joint featurization. 0 keeps the private caches.
   size_t pocket_cache_targets = 0;
 };
 

@@ -1,18 +1,21 @@
-// Pipelined scoring hot path + cross-request pocket cache pins (ISSUE 10):
-//   * the pocket-aware voxel graft (4-arg voxelize_ligand_onto) is bitwise
-//     identical to joint voxelization at feature-set v2, where the 3-arg
-//     overload still refuses,
+// Pipelined scoring hot path + pocket cache pins:
+//   * the pocket-grid graft (voxelize_ligand_onto) is bitwise identical to
+//     joint voxelization at feature-set v1 and v2,
 //   * GraphFeaturizer::featurize against a pre-built crop CellList equals
 //     the self-built path bitwise,
 //   * PocketCache: verified hits return the same entry, LRU eviction and
 //     config-change invalidation are observable in stats, held entries
 //     survive eviction,
 //   * RegressorScorer's stage pipeline is bitwise identical to sequential
-//     score() at every (depth, featurize_threads) combination, and through
-//     an ordered-stream ScoringService at every (workers, depth, cache)
-//     combination,
-//   * cache hit == cache miss bitwise at feature-set v1 AND v2 (v2 is
-//     where the cache re-enables pocket amortization),
+//     score() at every depth, and through an ordered-stream ScoringService
+//     at every (workers, depth, cache) combination,
+//   * cache hit == cache miss == joint featurization + predict_batch,
+//     bitwise, at feature-set v1 AND v2, for the shared and the private
+//     cache alike; set_pocket_cache(nullptr) restores the private cache,
+//   * a service switching scorers under pipelining (fusion, vina_pk and a
+//     throwing scorer interleaved) scores every request bitwise as at depth
+//     0, in coalescing and ordered mode; only the throwing scorer's
+//     requests fail,
 //   * featurize-stage errors surface at collect() as typed exceptions and
 //     leave the pipeline usable,
 //   * a warmed pipeline at depth 2 scores with zero tensor heap
@@ -20,6 +23,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <future>
+#include <iterator>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -141,20 +146,20 @@ TEST(PocketGraft, V2GraftBitwiseEqualsJointVoxelization) {
                           static_cast<size_t>(joint.numel()) * sizeof(float)),
               0)
         << "v2 graft diverged from joint voxelization, ligand " << i;
-    // The pocket-blind overload still refuses v2 — only the pocket-aware
-    // graft can re-derive the interface H-bond coupling.
-    EXPECT_THROW(vox.voxelize_ligand_onto(lig, pocket_grid, {}), std::logic_error);
   }
 
-  // At v1 the pocket-aware overload must collapse to the historical path.
+  // At v1 the graft is the block copy, still bitwise the joint voxelization.
   const chem::Voxelizer vox1(tiny_voxel(1));
   const Tensor grid1 = vox1.voxelize_pocket(pocket, {});
   chem::Molecule lig = chem::generate_molecule({}, rng);
   chem::embed_conformer(lig, rng);
   lig.translate(core::Vec3{} - lig.centroid());
-  const Tensor a = vox1.voxelize_ligand_onto(lig, grid1, {});
-  const Tensor b = vox1.voxelize_ligand_onto(lig, pocket, grid1, {});
-  EXPECT_EQ(std::memcmp(a.data(), b.data(), static_cast<size_t>(a.numel()) * sizeof(float)), 0);
+  const Tensor joint = vox1.voxelize(lig, pocket, {});
+  const Tensor grafted = vox1.voxelize_ligand_onto(lig, pocket, grid1, {});
+  ASSERT_EQ(joint.shape(), grafted.shape());
+  EXPECT_EQ(std::memcmp(joint.data(), grafted.data(),
+                        static_cast<size_t>(joint.numel()) * sizeof(float)),
+            0);
 }
 
 TEST(PocketGraft, PrebuiltCropCellsBitwiseEqualsSelfBuilt) {
@@ -295,7 +300,7 @@ TEST(PocketCacheTest, ConcurrentLookupsBuildOnceAndAgree) {
 
 // ---- pipelined scorer ≡ sequential, bitwise -----------------------------
 
-TEST(PipelinedScorer, BitwiseEqualsSequentialAcrossDepthsAndLanes) {
+TEST(PipelinedScorer, BitwiseEqualsSequentialAcrossDepths) {
   Rng rng(81);
   const auto pocket = data::make_pocket({4.5f, 24, 0.6f, 0.5f, 0.1f}, rng);
   constexpr int kBatches = 6;
@@ -310,38 +315,35 @@ TEST(PipelinedScorer, BitwiseEqualsSequentialAcrossDepthsAndLanes) {
     for (const auto& b : batches) want.push_back(scorer.score(ptrs_of(b)));
   }
 
-  for (int feat_threads : {0, 2}) {
-    for (int depth : {1, 2, 4}) {
-      serve::RegressorScorer scorer("fusion", make_fusion(tiny_voxel().channels()), tiny_voxel(),
-                                    tiny_graph(), feat_threads);
-      scorer.set_pipeline_depth(depth);
-      serve::ScorerPipeline* pipe = scorer.pipeline();
-      ASSERT_NE(pipe, nullptr);
-      EXPECT_EQ(pipe->depth(), depth);
+  for (int depth : {1, 2, 4}) {
+    serve::RegressorScorer scorer("fusion", make_fusion(tiny_voxel().channels()), tiny_voxel(),
+                                  tiny_graph());
+    scorer.set_pipeline_depth(depth);
+    serve::ScorerPipeline* pipe = scorer.pipeline();
+    ASSERT_NE(pipe, nullptr);
+    EXPECT_EQ(pipe->depth(), depth);
 
-      const std::string tag =
-          "depth=" + std::to_string(depth) + " lanes=" + std::to_string(feat_threads);
-      std::vector<std::vector<float>> got;
-      for (const auto& b : batches) {
-        if (pipe->in_flight() == static_cast<size_t>(depth)) got.push_back(pipe->collect());
-        pipe->submit(ptrs_of(b));
-      }
-      while (pipe->in_flight() > 0) got.push_back(pipe->collect());
-      ASSERT_EQ(got.size(), want.size()) << tag;
-      for (int b = 0; b < kBatches; ++b) {
-        expect_bitwise(got[static_cast<size_t>(b)], want[static_cast<size_t>(b)],
-                       tag + " batch " + std::to_string(b));
-      }
-
-      // The drained replica's sequential path is untouched by pipelining.
-      expect_bitwise(scorer.score(ptrs_of(batches[0])), want[0], tag + " post-drain score()");
-      // Stats account every batch exactly once, at collect time.
-      EXPECT_EQ(scorer.phase_stats().batches, static_cast<uint64_t>(kBatches + 1)) << tag;
-
-      // Depth 0 tears the pipeline down.
-      scorer.set_pipeline_depth(0);
-      EXPECT_EQ(scorer.pipeline(), nullptr) << tag;
+    const std::string tag = "depth=" + std::to_string(depth);
+    std::vector<std::vector<float>> got;
+    for (const auto& b : batches) {
+      if (pipe->in_flight() == static_cast<size_t>(depth)) got.push_back(pipe->collect());
+      pipe->submit(ptrs_of(b));
     }
+    while (pipe->in_flight() > 0) got.push_back(pipe->collect());
+    ASSERT_EQ(got.size(), want.size()) << tag;
+    for (int b = 0; b < kBatches; ++b) {
+      expect_bitwise(got[static_cast<size_t>(b)], want[static_cast<size_t>(b)],
+                     tag + " batch " + std::to_string(b));
+    }
+
+    // The drained replica's sequential path is untouched by pipelining.
+    expect_bitwise(scorer.score(ptrs_of(batches[0])), want[0], tag + " post-drain score()");
+    // Stats account every batch exactly once, at collect time.
+    EXPECT_EQ(scorer.phase_stats().batches, static_cast<uint64_t>(kBatches + 1)) << tag;
+
+    // Depth 0 tears the pipeline down.
+    scorer.set_pipeline_depth(0);
+    EXPECT_EQ(scorer.pipeline(), nullptr) << tag;
   }
 }
 
@@ -349,23 +351,49 @@ TEST(PipelinedScorer, CacheHitBitwiseEqualsMissAtBothFeatureSetVersions) {
   Rng rng(82);
   const auto pocket = data::make_pocket({4.5f, 24, 0.6f, 0.5f, 0.1f}, rng);
   for (int fsv : {1, 2}) {
+    const std::string tag = "fsv=" + std::to_string(fsv);
     const chem::VoxelConfig voxel = tiny_voxel(fsv);
     std::vector<std::vector<serve::PoseInput>> batches;
     for (int b = 0; b < 3; ++b) batches.push_back(make_poses(5, &pocket, rng));
 
-    serve::RegressorScorer plain("fusion", make_fusion(voxel.channels()), voxel, tiny_graph(fsv));
-    serve::RegressorScorer cached("fusion", make_fusion(voxel.channels()), voxel, tiny_graph(fsv));
-    auto cache = std::make_shared<serve::PocketCache>(4);
-    cached.set_pocket_cache(cache);
+    // Reference: joint featurization (no pocket grid, no crop cells) and
+    // the model's batched eval path, outside any scorer.
+    const chem::Voxelizer vox(voxel);
+    const chem::GraphFeaturizer feat(tiny_graph(fsv));
+    auto model = make_fusion(voxel.channels());
+    model->set_training(false);
+    std::vector<std::vector<float>> want;
+    for (const auto& batch : batches) {
+      std::vector<data::Sample> samples(batch.size());
+      std::vector<const data::Sample*> ptrs;
+      for (size_t i = 0; i < batch.size(); ++i) {
+        samples[i].voxel = vox.voxelize(batch[i].ligand, pocket, batch[i].site_center);
+        samples[i].graph = feat.featurize(batch[i].ligand, pocket);
+        ptrs.push_back(&samples[i]);
+      }
+      want.push_back(model->predict_batch(ptrs));
+    }
 
+    // A shared cache (miss, then hits) and the replica's private cache.
+    serve::RegressorScorer shared("fusion", make_fusion(voxel.channels()), voxel, tiny_graph(fsv));
+    serve::RegressorScorer priv("fusion", make_fusion(voxel.channels()), voxel, tiny_graph(fsv));
+    auto cache = std::make_shared<serve::PocketCache>(4);
+    shared.set_pocket_cache(cache);
     for (int b = 0; b < 3; ++b) {
-      const auto want = plain.score(ptrs_of(batches[static_cast<size_t>(b)]));
-      const auto got = cached.score(ptrs_of(batches[static_cast<size_t>(b)]));
-      expect_bitwise(got, want, "fsv=" + std::to_string(fsv) + " batch " + std::to_string(b));
+      const auto ptrs = ptrs_of(batches[static_cast<size_t>(b)]);
+      const std::string bt = tag + " batch " + std::to_string(b);
+      expect_bitwise(shared.score(ptrs), want[static_cast<size_t>(b)], bt + " shared cache");
+      expect_bitwise(priv.score(ptrs), want[static_cast<size_t>(b)], bt + " private cache");
     }
     // One build, then every batch reuses it: one lookup per batch.
-    EXPECT_EQ(cache->stats().misses, 1u) << "fsv " << fsv;
-    EXPECT_EQ(cache->stats().hits, 2u) << "fsv " << fsv;
+    EXPECT_EQ(cache->stats().misses, 1u) << tag;
+    EXPECT_EQ(cache->stats().hits, 2u) << tag;
+
+    // nullptr restores the private cache: the shared one sees no more
+    // lookups, and the scores stay bitwise.
+    shared.set_pocket_cache(nullptr);
+    expect_bitwise(shared.score(ptrs_of(batches[0])), want[0], tag + " after detaching");
+    EXPECT_EQ(cache->stats().misses + cache->stats().hits, 3u) << tag;
   }
 }
 
@@ -402,7 +430,7 @@ TEST(PipelinedScorer, SteadyStateZeroTensorHeapAllocationsAtDepth2) {
   const auto ptrs = ptrs_of(poses);
 
   serve::RegressorScorer scorer("fusion", make_fusion(tiny_voxel().channels()), tiny_voxel(),
-                                tiny_graph(), /*featurize_threads=*/2);
+                                tiny_graph());
   auto cache = std::make_shared<serve::PocketCache>(4);
   scorer.set_pocket_cache(cache);
   scorer.set_pipeline_depth(2);
@@ -443,13 +471,10 @@ TEST(PipelinedService, OrderedStreamBitwiseAcrossDepthWorkersAndCache) {
   std::vector<std::vector<serve::PoseInput>> client_poses;
   for (int c = 0; c < kClients; ++c) client_poses.push_back(make_poses(10, &pocket, rng));
 
-  // `registry_depth` pipelines at the registry level (the service leaves
-  // it alone at pipeline_depth == 0); `depth` at the service level.
   struct Config {
     int workers;
     int depth;
     size_t cache_targets;
-    int registry_depth;
   };
   const auto run_config = [&](const Config& cc) {
     serve::ModelRegistry reg;
@@ -465,7 +490,7 @@ TEST(PipelinedService, OrderedStreamBitwiseAcrossDepthWorkersAndCache) {
           fcfg.fusion_nodes = 12;
           return std::make_unique<models::FusionModel>(fcfg, cnn, sg, mrng);
         },
-        tiny_voxel(), tiny_graph(), /*featurize_threads=*/0, cc.registry_depth);
+        tiny_voxel(), tiny_graph());
     serve::ServiceConfig sc;
     sc.workers = cc.workers;
     sc.poses_per_batch = 4;  // 10-pose requests split 4/4/2
@@ -488,23 +513,21 @@ TEST(PipelinedService, OrderedStreamBitwiseAcrossDepthWorkersAndCache) {
     return scores;
   };
 
-  const auto baseline = run_config({1, 0, 0, 0});
+  const auto baseline = run_config({1, 0, 0});
   for (int c = 0; c < kClients; ++c) {
     ASSERT_EQ(baseline[static_cast<size_t>(c)].size(), 10u);
   }
   const Config configs[] = {
-      {1, 2, 4, 0},  // pipelined + cached, single worker
-      {4, 2, 4, 0},  // pipelined + cached, parallel workers
-      {2, 4, 0, 0},  // deep pipeline, no cache
-      {1, 0, 4, 0},  // cache only, sequential
-      {2, 0, 0, 3},  // registry-configured pipeline, service leaves it alone
+      {1, 2, 4},  // pipelined + shared cache, single worker
+      {4, 2, 4},  // pipelined + shared cache, parallel workers
+      {2, 4, 0},  // deep pipeline, private caches
+      {1, 0, 4},  // shared cache only, sequential
   };
   for (const Config& cc : configs) {
     const auto got = run_config(cc);
     const std::string tag = "workers=" + std::to_string(cc.workers) +
                             " depth=" + std::to_string(cc.depth) +
-                            " cache=" + std::to_string(cc.cache_targets) +
-                            " registry_depth=" + std::to_string(cc.registry_depth);
+                            " cache=" + std::to_string(cc.cache_targets);
     for (int c = 0; c < kClients; ++c) {
       expect_bitwise(got[static_cast<size_t>(c)], baseline[static_cast<size_t>(c)],
                      tag + " client " + std::to_string(c));
@@ -558,6 +581,78 @@ TEST(PipelinedService, TypedErrorsAndDrainWithBatchesInFlight) {
   // drain() must wait out in-flight pipelined batches too.
   service.drain();
   service.shutdown();
+}
+
+// A scorer whose every batch fails — its requests must resolve typed,
+// and nothing else in flight may notice.
+class ThrowingScorer : public serve::Scorer {
+ public:
+  std::string name() const override { return "boom"; }
+  std::vector<float> score(const std::vector<const serve::PoseInput*>&) override {
+    throw std::runtime_error("boom: scorer failure");
+  }
+};
+
+TEST(PipelinedService, ScorerSwitchUnderPipeliningBitwiseAndIsolated) {
+  Rng rng(87);
+  const auto pocket = data::make_pocket({4.5f, 24, 0.6f, 0.5f, 0.1f}, rng);
+  // Interleaved traffic: a worker holding pipelined fusion batches must
+  // drain them before it dispatches vina_pk or boom, then pick fusion up
+  // again.
+  const char* const kPattern[] = {"fusion", "vina_pk", "fusion", "boom", "fusion", "fusion",
+                                  "vina_pk", "boom", "fusion", "vina_pk", "fusion", "fusion"};
+  std::vector<std::string> names;
+  std::vector<std::vector<serve::PoseInput>> traffic;
+  for (size_t r = 0; r < std::size(kPattern); ++r) {
+    names.emplace_back(kPattern[r]);
+    traffic.push_back(make_poses(3 + static_cast<int>(r % 4) * 2, &pocket, rng));
+  }
+
+  const auto run = [&](bool ordered, int workers, int depth) {
+    serve::ModelRegistry reg;
+    serve::add_regressor(
+        reg, "fusion", [] { return make_fusion(tiny_voxel().channels()); }, tiny_voxel(),
+        tiny_graph());
+    reg.add("vina_pk", [] { return std::make_unique<serve::VinaPkScorer>(); });
+    reg.add("boom", [] { return std::make_unique<ThrowingScorer>(); });
+    serve::ServiceConfig sc;
+    sc.workers = workers;
+    sc.poses_per_batch = 4;
+    sc.ordered_stream = ordered;
+    sc.pipeline_depth = depth;
+    serve::ScoringService service(reg, sc);
+    std::vector<std::future<serve::ScoreResponse>> futures;
+    for (size_t r = 0; r < traffic.size(); ++r) {
+      serve::ScoreRequest req;
+      req.scorer = names[r];
+      req.poses = traffic[r];
+      futures.push_back(service.submit(std::move(req)));
+    }
+    std::vector<serve::ScoreResponse> out;
+    for (auto& f : futures) out.push_back(f.get());
+    return out;
+  };
+
+  for (bool ordered : {false, true}) {
+    const auto want = run(ordered, 1, 0);
+    for (int workers : {1, 2}) {
+      const auto got = run(ordered, workers, 2);
+      for (size_t r = 0; r < traffic.size(); ++r) {
+        const std::string tag = std::string(ordered ? "ordered" : "coalescing") +
+                                " workers=" + std::to_string(workers) + " request " +
+                                std::to_string(r) + " (" + names[r] + ")";
+        if (names[r] == "boom") {
+          EXPECT_EQ(got[r].error, serve::ScoreError::kScorerFailure) << tag;
+          EXPECT_TRUE(got[r].scores.empty()) << tag;
+          continue;
+        }
+        ASSERT_EQ(want[r].error, serve::ScoreError::kNone) << tag << ": " << want[r].message;
+        ASSERT_EQ(got[r].error, serve::ScoreError::kNone) << tag << ": " << got[r].message;
+        ASSERT_EQ(got[r].scores.size(), traffic[r].size()) << tag;
+        expect_bitwise(got[r].scores, want[r].scores, tag);
+      }
+    }
+  }
 }
 
 }  // namespace
