@@ -517,7 +517,7 @@ ColdStartResult run_cold_start_bench(const Workload& w) {
     return std::make_unique<models::Cnn3d>(service_cnn_config(), mrng);
   };
   const auto tmp = std::filesystem::temp_directory_path();
-  const std::string h5 = (tmp / "BENCH_coldstart.h5lt").string();
+  const std::string h5 = (tmp / "BENCH_coldstart.ckpt").string();
   const std::string dfca = (tmp / "BENCH_coldstart.dfca").string();
 
   std::vector<const serve::PoseInput*> batch;

@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
   print_rule(44);
   std::printf("%-28s %12.2f s\n", "Startup", r.startup_seconds);
   std::printf("%-28s %12.2f s\n", "Evaluation", r.eval_seconds);
-  std::printf("%-28s %12.2f s\n", "File output", r.output_seconds);
+  std::printf("%-28s %12.2f s\n", "Output (allgather)", r.output_seconds);
   std::printf("%-28s %12.1f\n", "Poses per second", r.poses_per_second);
   std::printf("%-28s %12.2f\n\n", "Poses/s per rank", per_rank);
 

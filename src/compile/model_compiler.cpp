@@ -322,9 +322,10 @@ io::H5LiteError format_error(const std::string& msg) {
   return io::H5LiteError(io::H5LiteError::Kind::Format, "artifact: " + msg);
 }
 
-void check_len(const io::ArtifactReader& a, const std::string& name, int64_t numel) {
-  if (a.section(name).numel() != numel)
-    throw format_error("section " + name + " has wrong length in " + a.path());
+/// Writer view of `n` elements at `p`.
+template <typename T>
+std::span<const T> view(const T* p, int64_t n) {
+  return {p, static_cast<size_t>(n)};
 }
 
 void add_cnn_cfg(io::ArtifactWriter& w, const models::Cnn3dConfig& c) {
@@ -337,10 +338,8 @@ void add_cnn_cfg(io::ArtifactWriter& w, const models::Cnn3dConfig& c) {
 }
 
 models::Cnn3dConfig read_cnn_cfg(const io::ArtifactReader& a) {
-  check_len(a, "cfg/cnn/int", 8);
-  check_len(a, "cfg/cnn/float", 2);
-  const int64_t* iv = a.ints("cfg/cnn/int");
-  const float* fv = a.floats("cfg/cnn/float");
+  const int64_t* iv = a.ints("cfg/cnn/int", 8);
+  const float* fv = a.floats("cfg/cnn/float", 2);
   models::Cnn3dConfig c;
   c.in_channels = static_cast<int>(iv[0]);
   c.grid_dim = static_cast<int>(iv[1]);
@@ -362,8 +361,7 @@ void add_sg_cfg(io::ArtifactWriter& w, const models::SgcnnConfig& c) {
 }
 
 models::SgcnnConfig read_sg_cfg(const io::ArtifactReader& a) {
-  check_len(a, "cfg/sg/int", 5);
-  const int64_t* iv = a.ints("cfg/sg/int");
+  const int64_t* iv = a.ints("cfg/sg/int", 5);
   models::SgcnnConfig c;
   c.node_features = static_cast<int>(iv[0]);
   c.covalent_k = static_cast<int>(iv[1]);
@@ -386,10 +384,8 @@ void add_fusion_cfg(io::ArtifactWriter& w, const models::FusionConfig& c) {
 }
 
 models::FusionConfig read_fusion_cfg(const io::ArtifactReader& a) {
-  check_len(a, "cfg/fusion/int", 6);
-  check_len(a, "cfg/fusion/float", 3);
-  const int64_t* iv = a.ints("cfg/fusion/int");
-  const float* fv = a.floats("cfg/fusion/float");
+  const int64_t* iv = a.ints("cfg/fusion/int", 6);
+  const float* fv = a.floats("cfg/fusion/float", 3);
   if (iv[0] < 0 || iv[0] > 2) throw format_error("bad fusion kind in " + a.path());
   if (iv[5] < 0 || iv[5] > 2) throw format_error("bad fusion activation in " + a.path());
   models::FusionConfig c;
@@ -572,7 +568,7 @@ void save_compiled(models::Regressor& model, const std::string& path, int64_t po
   out.add_scalar("param_count", static_cast<int64_t>(params.size()));
   for (size_t i = 0; i < params.size(); ++i) {
     out.add_floats("param/" + std::to_string(i), params[i]->value.shape(),
-                   params[i]->value.data());
+                   params[i]->value.flat());
   }
 
   // Panel images, regenerated from the folded weights (deterministic — the
@@ -587,7 +583,7 @@ void save_compiled(models::Regressor& model, const std::string& path, int64_t po
     buf.resize(static_cast<size_t>(len));
     core::pack_b_full(false, d->in_features(), d->out_features(), d->weight().value.data(),
                       d->out_features(), buf.data());
-    out.add_floats("pack/dense/" + std::to_string(i), {len}, buf.data());
+    out.add_floats("pack/dense/" + std::to_string(i), {len}, buf);
   }
   for (size_t i = 0; i < w.conv.size(); ++i) {
     nn::Conv3d* c = w.conv[i];
@@ -595,7 +591,7 @@ void save_compiled(models::Regressor& model, const std::string& path, int64_t po
     const int64_t len = core::packed_a_floats(c->out_channels(), K);
     buf.resize(static_cast<size_t>(len));
     core::pack_a_full(false, c->out_channels(), K, c->weight().value.data(), K, buf.data());
-    out.add_floats("pack/conv/" + std::to_string(i), {len}, buf.data());
+    out.add_floats("pack/conv/" + std::to_string(i), {len}, buf);
   }
 
   // Quantized plan sections (artifact v2). Unlike the fp32 panel images,
@@ -613,18 +609,18 @@ void save_compiled(models::Regressor& model, const std::string& path, int64_t po
     if (w.conv[i]->quantized_state() != nullptr) cmask[i] = 1, any_quant = true;
   }
   if (any_quant) {
-    out.add_ints("quant/dense_mask", {static_cast<int64_t>(dmask.size())}, dmask.data());
-    out.add_ints("quant/conv_mask", {static_cast<int64_t>(cmask.size())}, cmask.data());
+    out.add_ints("quant/dense_mask", {static_cast<int64_t>(dmask.size())}, dmask);
+    out.add_ints("quant/conv_mask", {static_cast<int64_t>(cmask.size())}, cmask);
     for (size_t i = 0; i < w.dense.size(); ++i) {
       if (dmask[i] == 0) continue;
       const nn::Dense* d = w.dense[i];
       const nn::QuantizedDense* q = d->quantized_state();
       const std::string base = "quant/dense/" + std::to_string(i) + "/";
       const int64_t plen = core::packed_b_bytes_s8(d->in_features(), d->out_features());
-      out.add_int8s(base + "panels", {plen}, q->panels);
-      out.add_floats(base + "scales", {d->out_features()}, q->scales);
-      out.add_int32s(base + "comp", {d->out_features()}, q->comp);
-      out.add_floats(base + "act", {1}, &q->act_scale);
+      out.add_int8s(base + "panels", {plen}, view(q->panels, plen));
+      out.add_floats(base + "scales", {d->out_features()}, view(q->scales, d->out_features()));
+      out.add_int32s(base + "comp", {d->out_features()}, view(q->comp, d->out_features()));
+      out.add_floats(base + "act", {1}, view(&q->act_scale, 1));
     }
     for (size_t i = 0; i < w.conv.size(); ++i) {
       if (cmask[i] == 0) continue;
@@ -633,9 +629,9 @@ void save_compiled(models::Regressor& model, const std::string& path, int64_t po
       const std::string base = "quant/conv/" + std::to_string(i) + "/";
       const int64_t K = c->in_channels() * c->kernel() * c->kernel() * c->kernel();
       const int64_t wlen = core::quantized_a_bytes_s8(c->out_channels(), K);
-      out.add_int8s(base + "w", {wlen}, reinterpret_cast<const int8_t*>(q->wu8));
-      out.add_floats(base + "scales", {c->out_channels()}, q->scales);
-      out.add_floats(base + "act", {1}, &q->act_scale);
+      out.add_int8s(base + "w", {wlen}, view(reinterpret_cast<const int8_t*>(q->wu8), wlen));
+      out.add_floats(base + "scales", {c->out_channels()}, view(q->scales, c->out_channels()));
+      out.add_floats(base + "act", {1}, view(&q->act_scale, 1));
     }
   }
 
@@ -677,7 +673,7 @@ CompiledModel load_compiled(std::shared_ptr<io::ArtifactReader> image) {
     const std::string name = "param/" + std::to_string(i);
     if (a.section(name).dims != params[i]->value.shape())
       throw format_error("parameter shape mismatch for " + name + " in " + a.path());
-    std::memcpy(params[i]->value.data(), a.floats(name),
+    std::memcpy(params[i]->value.data(), a.floats(name, params[i]->value.numel()),
                 static_cast<size_t>(params[i]->value.numel()) * sizeof(float));
   }
 
@@ -691,46 +687,41 @@ CompiledModel load_compiled(std::shared_ptr<io::ArtifactReader> image) {
   for (size_t i = 0; i < w.dense.size(); ++i) {
     nn::Dense* d = w.dense[i];
     const std::string name = "pack/dense/" + std::to_string(i);
-    check_len(a, name, core::packed_b_floats(d->in_features(), d->out_features()));
-    d->attach_prepacked(a.floats(name));
+    d->attach_prepacked(
+        a.floats(name, core::packed_b_floats(d->in_features(), d->out_features())));
   }
   for (size_t i = 0; i < w.conv.size(); ++i) {
     nn::Conv3d* c = w.conv[i];
     const std::string name = "pack/conv/" + std::to_string(i);
     const int64_t K = c->in_channels() * c->kernel() * c->kernel() * c->kernel();
-    check_len(a, name, core::packed_a_floats(c->out_channels(), K));
-    c->attach_prepacked(a.floats(name));
+    c->attach_prepacked(a.floats(name, core::packed_a_floats(c->out_channels(), K)));
   }
 
   // Quantized plans: borrowed views straight into the mapping, like the
   // fp32 panels. Layers with a mask bit run int8 from the first request.
   if (a.has("quant/dense_mask")) {
-    check_len(a, "quant/dense_mask", static_cast<int64_t>(w.dense.size()));
-    check_len(a, "quant/conv_mask", static_cast<int64_t>(w.conv.size()));
-    const int64_t* dmask = a.ints("quant/dense_mask");
-    const int64_t* cmask = a.ints("quant/conv_mask");
+    const int64_t* dmask = a.ints("quant/dense_mask", static_cast<int64_t>(w.dense.size()));
+    const int64_t* cmask = a.ints("quant/conv_mask", static_cast<int64_t>(w.conv.size()));
     for (size_t i = 0; i < w.dense.size(); ++i) {
       if (dmask[i] == 0) continue;
       nn::Dense* d = w.dense[i];
       const std::string base = "quant/dense/" + std::to_string(i) + "/";
-      check_len(a, base + "panels", core::packed_b_bytes_s8(d->in_features(), d->out_features()));
-      check_len(a, base + "scales", d->out_features());
-      check_len(a, base + "comp", d->out_features());
-      check_len(a, base + "act", 1);
-      d->attach_quantized_views(a.floats(base + "act")[0], a.int8s(base + "panels"),
-                                a.floats(base + "scales"), a.int32s(base + "comp"));
+      d->attach_quantized_views(
+          a.floats(base + "act", 1)[0],
+          a.int8s(base + "panels", core::packed_b_bytes_s8(d->in_features(), d->out_features())),
+          a.floats(base + "scales", d->out_features()),
+          a.int32s(base + "comp", d->out_features()));
     }
     for (size_t i = 0; i < w.conv.size(); ++i) {
       if (cmask[i] == 0) continue;
       nn::Conv3d* c = w.conv[i];
       const std::string base = "quant/conv/" + std::to_string(i) + "/";
       const int64_t K = c->in_channels() * c->kernel() * c->kernel() * c->kernel();
-      check_len(a, base + "w", core::quantized_a_bytes_s8(c->out_channels(), K));
-      check_len(a, base + "scales", c->out_channels());
-      check_len(a, base + "act", 1);
-      c->attach_quantized_views(a.floats(base + "act")[0],
-                                reinterpret_cast<const uint8_t*>(a.int8s(base + "w")),
-                                a.floats(base + "scales"));
+      c->attach_quantized_views(
+          a.floats(base + "act", 1)[0],
+          reinterpret_cast<const uint8_t*>(
+              a.int8s(base + "w", core::quantized_a_bytes_s8(c->out_channels(), K))),
+          a.floats(base + "scales", c->out_channels()));
     }
   }
 

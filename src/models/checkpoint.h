@@ -1,5 +1,6 @@
 // Model checkpointing: serialize a Regressor's trainable parameters to the
-// h5lite container and restore them into a structurally identical model.
+// .dfca container (io/model_artifact.h) and restore them into a
+// structurally identical model.
 // This is what Ray Tune's PB2 exploitation does with checkpoints (§3.2) and
 // what lets a screening deployment ship one trained weight file to every
 // rank instead of re-training per process.
@@ -26,11 +27,12 @@
 namespace df::models {
 
 /// Write all trainable parameters (values only, not optimizer state) to
-/// `path`. Dataset names are "p<index>" in trainable_parameters() order,
-/// plus a "meta" record holding the parameter count for validation.
+/// `path`. Section names are "p<index>" in trainable_parameters() order,
+/// plus a "meta" scalar holding the parameter count for validation.
 void save_checkpoint(Regressor& model, const std::string& path);
 
 /// Load parameters saved by save_checkpoint into `model`. Throws
+/// io::H5LiteError on damage or a missing/mistyped section and
 /// std::runtime_error if the file does not match the model's structure
 /// (parameter count or any shape differs).
 void load_checkpoint(Regressor& model, const std::string& path);
@@ -65,8 +67,9 @@ void save_train_checkpoint(Regressor& model, nn::Optimizer& opt, const TrainProg
                            const std::string& path);
 
 /// Restore weights into `model` and state into `opt`; returns the saved
-/// progress. Throws io::H5LiteError on damage and std::runtime_error when
-/// the file does not match the model/optimizer structure. When
+/// progress. Throws io::H5LiteError on damage or a missing/mistyped
+/// section (e.g. a weights-only file) and std::runtime_error when the file
+/// does not match the model/optimizer structure. When
 /// `expected_geometry` is given, its guard fields (seed, optimizer kind,
 /// batch size, grad shards, dataset sizes, lr, grad clip) are validated
 /// against the file BEFORE anything is restored, so a mismatch throw

@@ -6,8 +6,9 @@
 // (campaign seed, unit id, attempt) — job scoring streams, fault draws,
 // assay noise — the attempt counters ARE the RNG cursors, and the final
 // CampaignReport is derivable from them bit-for-bit no matter where the
-// previous process died. Serialized through io/h5lite (same container as
-// model checkpoints), written atomically.
+// previous process died. Serialized as a .dfca container
+// (io/model_artifact.h, the same container as model checkpoints), written
+// atomically.
 #pragma once
 
 #include <cstdint>
@@ -48,7 +49,8 @@ struct CampaignCheckpoint {
 /// previous valid checkpoint in place, never a torn one.
 void save_campaign_checkpoint(const CampaignCheckpoint& ck, const std::string& path);
 
-/// Throws io::H5LiteError on damage, std::runtime_error on schema drift.
+/// Throws io::H5LiteError on damage or a missing/mistyped field,
+/// std::runtime_error on schema drift.
 CampaignCheckpoint load_campaign_checkpoint(const std::string& path);
 
 }  // namespace df::screen

@@ -10,7 +10,6 @@
 #include "core/rng.h"
 #include "core/threadpool.h"
 #include "io/log.h"
-#include "screen/writer.h"
 #include "serve/service.h"
 
 namespace df::screen {
@@ -137,13 +136,6 @@ JobReport FusionScoringJob::run(const std::vector<PoseWorkItem>& items,
     report.predictions.insert(report.predictions.end(), out.pred.begin(), out.pred.end());
   }
   report.poses_scored = static_cast<int>(report.predictions.size());
-
-  // --- output phase: shard across ranks and write in parallel.
-  if (!cfg_.output_prefix.empty()) {
-    report.output_files = write_sharded_results(cfg_.output_prefix, ranks, report.compound_ids,
-                                                report.target_ids, report.pose_ids,
-                                                report.predictions);
-  }
   report.output_seconds = seconds_since(t0);
   report.poses_per_second = report.eval_seconds > 0
                                 ? static_cast<double>(report.poses_scored) / report.eval_seconds

@@ -2,9 +2,10 @@
 // across ranks (nodes x GPUs, one client per rank here); each rank streams
 // its subset to the shared serve::ScoringService, which featurizes and
 // scores it in micro-batches on per-worker model replicas. Results are
-// allgathered and written in parallel. Failure injection reproduces the
-// §4.3 instability, and — like the real pipeline — a failed job writes
-// nothing (results are only flushed after scoring completes), so reruns are
+// allgathered into the JobReport; the campaign driver streams them to
+// per-rank shards (screen/writer.h). Failure injection reproduces the
+// §4.3 instability, and — like the real pipeline — a failed job returns
+// nothing (results only exist after scoring completes), so reruns are
 // idempotent.
 #pragma once
 
@@ -55,7 +56,6 @@ struct JobConfig {
                                      // raw std::threads otherwise
   chem::VoxelConfig voxel;         // featurization of the compat-path scorer
   chem::GraphFeaturizerConfig graph;
-  std::string output_prefix;       // empty = don't write files
 };
 
 struct JobReport {
@@ -65,14 +65,13 @@ struct JobReport {
   double startup_seconds = 0;      // service warmup (replica construction);
                                    // ~0 once the service is warm
   double eval_seconds = 0;
-  double output_seconds = 0;
+  double output_seconds = 0;       // allgather of per-rank results
   double poses_per_second = 0;     // eval-phase rate
   // Allgathered results (empty when failed, like the real pipeline).
   std::vector<int64_t> compound_ids;
   std::vector<int64_t> target_ids;
   std::vector<int64_t> pose_ids;
   std::vector<float> predictions;
-  std::vector<std::string> output_files;
 };
 
 /// Per-replica model builder — the legacy name for models::RegressorFactory,

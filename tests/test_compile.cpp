@@ -301,8 +301,8 @@ TEST(CompiledArtifact, GoldenRoundTrip) {
   const std::vector<int64_t> i64 = {7, -9, 1};
 
   io::ArtifactWriter w;
-  w.add_floats("weights/w0", {2, 3}, f.data());
-  w.add_ints("meta/dims", {3}, i64.data());
+  w.add_floats("weights/w0", {2, 3}, f);
+  w.add_ints("meta/dims", {3}, i64);
   w.add_scalar("meta/version_tag", 12345);
   w.save(path);
 
@@ -315,14 +315,15 @@ TEST(CompiledArtifact, GoldenRoundTrip) {
   const io::ArtifactSection& ws = r->section("weights/w0");
   EXPECT_EQ(ws.dims, (std::vector<int64_t>{2, 3}));
   EXPECT_EQ(ws.byte_offset % 64, 0u);  // mmap-alignment contract
-  EXPECT_EQ(std::memcmp(r->floats("weights/w0"), f.data(), f.size() * sizeof(float)), 0);
+  EXPECT_EQ(std::memcmp(r->floats("weights/w0", 6), f.data(), f.size() * sizeof(float)), 0);
   const io::ArtifactSection& is = r->section("meta/dims");
   EXPECT_EQ(is.byte_offset % 64, 0u);
-  EXPECT_EQ(std::memcmp(r->ints("meta/dims"), i64.data(), i64.size() * sizeof(int64_t)), 0);
+  EXPECT_EQ(std::memcmp(r->ints("meta/dims", 3), i64.data(), i64.size() * sizeof(int64_t)), 0);
 
-  // Typed dtype mismatches.
-  EXPECT_THROW(r->ints("weights/w0"), io::H5LiteError);
-  EXPECT_THROW(r->floats("meta/dims"), io::H5LiteError);
+  // Typed dtype and length mismatches.
+  EXPECT_THROW(r->ints("weights/w0", 6), io::H5LiteError);
+  EXPECT_THROW(r->floats("meta/dims", 3), io::H5LiteError);
+  EXPECT_THROW(r->floats("weights/w0", 5), io::H5LiteError);
   EXPECT_THROW(r->section("missing"), io::H5LiteError);
   std::filesystem::remove(path);
 }
@@ -347,7 +348,7 @@ TEST(CompiledArtifact, VersionMismatchAndCorruptionRejectedTyped) {
   const std::vector<float> f = {1.0f, 2.0f, 3.0f, 4.0f};
   {
     io::ArtifactWriter w;
-    w.add_floats("w", {4}, f.data());
+    w.add_floats("w", {4}, f);
     w.save(path);
   }
 
@@ -402,7 +403,7 @@ TEST(CompiledArtifact, PreviousArtifactVersionRejectedWholeFile) {
   const std::vector<float> f = {1.0f, 2.0f};
   {
     io::ArtifactWriter w;
-    w.add_floats("w", {2}, f.data());
+    w.add_floats("w", {2}, f);
     w.save(path);
   }
 
@@ -447,7 +448,7 @@ TEST(CompiledArtifact, AllFamiliesScoreBitwiseEqualToH5PathWithZeroColdStartAllo
 
   for (auto& [name, factory] : family_factories()) {
     SCOPED_TRACE(name);
-    const std::string h5 = tmp_path("df_ckpt_" + name + ".h5");
+    const std::string h5 = tmp_path("df_ckpt_" + name + ".ckpt");
     const std::string artifact = tmp_path("df_model_" + name + ".dfca");
 
     // Reference path: weights through the h5 checkpoint, uncompiled model.

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <filesystem>
 
 #include "chem/conformer.h"
 #include "chem/smiles.h"
@@ -8,7 +7,6 @@
 #include "models/sgcnn.h"
 #include "screen/job.h"
 #include "screen/scale_model.h"
-#include "screen/writer.h"
 #include "serve/service.h"
 
 namespace df::screen {
@@ -158,22 +156,6 @@ TEST(Job, UnknownScorerThrowsAtStartup) {
   jc.nodes = 1;
   jc.gpus_per_node = 1;
   EXPECT_THROW(FusionScoringJob(jc).run(items, service, "no_such_model"), std::out_of_range);
-}
-
-TEST(Writer, ShardedRoundTrip) {
-  const std::string prefix =
-      (std::filesystem::temp_directory_path() / "df_shard_test").string();
-  std::vector<int64_t> c{1, 2, 3, 4, 5}, t{0, 0, 1, 1, 2}, p{0, 1, 0, 1, 0};
-  std::vector<float> y{1.1f, 2.2f, 3.3f, 4.4f, 5.5f};
-  const auto files = write_sharded_results(prefix, 3, c, t, p, y);
-  EXPECT_EQ(files.size(), 3u);
-  const GatheredResults g = read_sharded_results(files);
-  EXPECT_EQ(g.predictions.size(), 5u);
-  // Round-robin sharding permutes rows; compare as multisets keyed by id.
-  float sum = 0;
-  for (float v : g.predictions) sum += v;
-  EXPECT_NEAR(sum, 16.5f, 1e-4f);
-  for (const auto& f : files) std::filesystem::remove(f);
 }
 
 TEST(ScaleModel, PaperDefaultsReproduceTable7SingleJob) {

@@ -8,7 +8,7 @@
 #include <filesystem>
 #include <fstream>
 
-#include "io/h5lite.h"
+#include "io/model_artifact.h"
 #include "screen/cluster.h"
 #include "screen/writer.h"
 
@@ -57,60 +57,6 @@ ShardBlock make_block(uint64_t unit, int64_t base, size_t rows) {
     b.predictions.push_back(static_cast<float>(base) + 0.25f * static_cast<float>(i));
   }
   return b;
-}
-
-// --- one-shot h5lite shards -----------------------------------------------
-
-TEST_F(WriterFaultsTest, HealthyShardsReadComplete) {
-  std::vector<int64_t> c{1, 2, 3, 4, 5}, t{0, 0, 1, 1, 2}, p{0, 1, 0, 1, 0};
-  std::vector<float> y{1.f, 2.f, 3.f, 4.f, 5.f};
-  const auto files = write_sharded_results(path("job"), 3, c, t, p, y);
-  const GatheredResults g = read_sharded_results(files);
-  EXPECT_TRUE(g.complete());
-  EXPECT_EQ(g.predictions.size(), 5u);
-}
-
-TEST_F(WriterFaultsTest, MissingShardReported) {
-  std::vector<int64_t> c{1, 2, 3, 4}, t{0, 0, 0, 0}, p{0, 1, 2, 3};
-  std::vector<float> y{1.f, 2.f, 3.f, 4.f};
-  const auto files = write_sharded_results(path("job"), 2, c, t, p, y);
-  fs::remove(files[1]);
-  const GatheredResults g = read_sharded_results(files);
-  EXPECT_FALSE(g.complete());
-  ASSERT_EQ(g.damage.size(), 1u);
-  EXPECT_EQ(g.damage[0].kind, ShardDamageKind::MissingFile);
-  EXPECT_EQ(g.damage[0].file, files[1]);
-  EXPECT_EQ(g.predictions.size(), 2u);  // healthy shard still read
-}
-
-TEST_F(WriterFaultsTest, TruncatedShardReported) {
-  std::vector<int64_t> c(64), t(64), p(64);
-  std::vector<float> y(64, 1.0f);
-  for (int i = 0; i < 64; ++i) c[static_cast<size_t>(i)] = i;
-  const auto files = write_sharded_results(path("job"), 2, c, t, p, y);
-  fs::resize_file(files[0], fs::file_size(files[0]) / 2);
-  const GatheredResults g = read_sharded_results(files);
-  ASSERT_EQ(g.damage.size(), 1u);
-  EXPECT_EQ(g.damage[0].kind, ShardDamageKind::TruncatedBlock);
-  EXPECT_EQ(g.predictions.size(), 32u);
-}
-
-TEST_F(WriterFaultsTest, CorruptShardReportedAsCrcMismatch) {
-  std::vector<int64_t> c{1, 2, 3, 4}, t{0, 0, 0, 0}, p{0, 1, 2, 3};
-  std::vector<float> y{1.f, 2.f, 3.f, 4.f};
-  const auto files = write_sharded_results(path("job"), 2, c, t, p, y);
-  flip_byte(files[0], 9);  // inside the float payload, not the trailing CRC
-  const GatheredResults g = read_sharded_results(files);
-  ASSERT_EQ(g.damage.size(), 1u);
-  EXPECT_EQ(g.damage[0].kind, ShardDamageKind::CrcMismatch);
-  EXPECT_EQ(g.predictions.size(), 2u);
-}
-
-TEST_F(WriterFaultsTest, GarbageFileReportedAsBadHeader) {
-  std::ofstream(path("garbage.h5lt")) << "not an h5lite file";
-  const GatheredResults g = read_sharded_results({path("garbage.h5lt")});
-  ASSERT_EQ(g.damage.size(), 1u);
-  EXPECT_EQ(g.damage[0].kind, ShardDamageKind::BadHeader);
 }
 
 // --- append-mode campaign shards ------------------------------------------
@@ -225,6 +171,28 @@ TEST_F(WriterFaultsTest, ManifestItselfProtected) {
   const auto damage = verify_shard_manifest(prefix);
   ASSERT_EQ(damage.size(), 1u);
   EXPECT_EQ(damage[0].file, shard_manifest_path(prefix));
+}
+
+TEST_F(WriterFaultsTest, ManifestWithForeignSectionsReportedAsBadHeader) {
+  // A valid container that is not a manifest (e.g. a checkpoint copied
+  // over it), or one whose shard tables disagree with its shard count.
+  const std::string prefix = path("camp");
+  ShardStream(shard_stream_path(prefix, 0)).close();
+  for (const int64_t crc_rows : {-1, 2}) {
+    io::ArtifactWriter w;
+    if (crc_rows >= 0) {
+      w.add_scalar("num_shards", 1);
+      w.add_ints("crc", {crc_rows}, std::vector<int64_t>(static_cast<size_t>(crc_rows)));
+      w.add_ints("bytes", {1}, std::vector<int64_t>{8});
+    } else {
+      w.add_scalar("schema", 2);
+    }
+    w.save(shard_manifest_path(prefix));
+    const auto damage = verify_shard_manifest(prefix);
+    ASSERT_EQ(damage.size(), 1u);
+    EXPECT_EQ(damage[0].file, shard_manifest_path(prefix));
+    EXPECT_EQ(damage[0].kind, ShardDamageKind::BadHeader);
+  }
 }
 
 // --- §4.3 failure statistics ----------------------------------------------
