@@ -45,7 +45,8 @@ int main() {
   std::printf("pipeline: %d poses docked, %d rejected compounds, %d jobs (%d failed+retried)\n",
               report.poses_generated, report.compounds_rejected, report.jobs_run,
               report.jobs_failed);
-  std::printf("stage times: docking %.1fs, MM/GBSA %.1fs, fusion scoring %.1fs\n\n",
+  std::printf("stage times: docking %.1fs wall (MM/GBSA %.1fs summed over pool threads), "
+              "fusion scoring %.1fs\n\n",
               report.docking_seconds, report.mmgbsa_seconds, report.fusion_seconds);
 
   // Rank per target by predicted affinity and "purchase" the top 3.

@@ -47,6 +47,17 @@ inline constexpr uint64_t kLoaderSample = 0x10adC0FFEE000002ULL;   // + epoch; i
 inline constexpr uint64_t kTrainDropout = 0xD0D0C0FFEE000003ULL;   // + epoch; index = position
 inline constexpr uint64_t kEvalSample = 0xE7a1C0FFEE000004ULL;     // + nothing; index = position
 inline constexpr uint64_t kCalibSample = 0xCa11C0FFEE000005ULL;    // + nothing; index = sample id
+inline constexpr uint64_t kDropoutLayer = 0xD70FULL;  // under a per-sample key; index = layer ordinal
+// Screening campaign streams, all under the campaign seed.
+inline constexpr uint64_t kJob = 0x4a4f4253ULL;       // "JOBS"; index = unit << 8 | attempt
+inline constexpr uint64_t kFault = 0x4641554c54ULL;   // "FAULT"; index = unit << 8 | attempt
+inline constexpr uint64_t kDock = 0x444f434bULL;      // "DOCK"; index = compound * targets + target
+inline constexpr uint64_t kAssay = 0x4153534159ULL;   // "ASSAY"; index = compound * targets + target
+
+/// Every tag above, for the registry's distinctness pin.
+inline constexpr uint64_t kAll[] = {kLoaderShuffle, kLoaderSample, kTrainDropout, kEvalSample,
+                                    kCalibSample,   kDropoutLayer, kJob,          kFault,
+                                    kDock,          kAssay};
 }  // namespace stream_tag
 
 class Rng {

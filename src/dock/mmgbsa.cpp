@@ -228,15 +228,29 @@ std::vector<double> AmplMmGbsaSurrogate::features(const Molecule& pose,
 void AmplMmGbsaSurrogate::fit(const std::vector<Molecule>& poses,
                               const std::vector<std::vector<Atom>>& pockets,
                               const std::vector<float>& scores, float ridge) {
-  const size_t n = poses.size();
-  if (n == 0 || pockets.size() != n || scores.size() != n) {
+  if (pockets.size() != poses.size()) {
     throw std::invalid_argument("AmplMmGbsaSurrogate::fit: inconsistent inputs");
   }
-  const size_t d = features(poses[0], pockets[0]).size();
+  std::vector<std::vector<double>> rows;
+  rows.reserve(poses.size());
+  for (size_t i = 0; i < poses.size(); ++i) rows.push_back(features(poses[i], pockets[i]));
+  fit(rows, scores, ridge);
+}
+
+void AmplMmGbsaSurrogate::fit(const std::vector<std::vector<double>>& rows,
+                              const std::vector<float>& scores, float ridge) {
+  const size_t n = rows.size();
+  if (n == 0 || scores.size() != n) {
+    throw std::invalid_argument("AmplMmGbsaSurrogate::fit: inconsistent inputs");
+  }
+  const size_t d = rows[0].size();
   // Normal equations with ridge: (X^T X + aI) w = X^T y.
   std::vector<double> xtx(d * d, 0.0), xty(d, 0.0);
   for (size_t i = 0; i < n; ++i) {
-    const std::vector<double> f = features(poses[i], pockets[i]);
+    const std::vector<double>& f = rows[i];
+    if (f.size() != d) {
+      throw std::invalid_argument("AmplMmGbsaSurrogate::fit: descriptor rows differ in length");
+    }
     for (size_t a = 0; a < d; ++a) {
       xty[a] += f[a] * scores[i];
       for (size_t b = 0; b < d; ++b) xtx[a * d + b] += f[a] * f[b];
@@ -247,10 +261,16 @@ void AmplMmGbsaSurrogate::fit(const std::vector<Molecule>& poses,
 }
 
 float AmplMmGbsaSurrogate::predict(const Molecule& pose, const std::vector<Atom>& pocket) const {
+  return predict(features(pose, pocket));
+}
+
+float AmplMmGbsaSurrogate::predict(const std::vector<double>& row) const {
   if (weights_.empty()) throw std::runtime_error("AmplMmGbsaSurrogate: predict before fit");
-  const std::vector<double> f = features(pose, pocket);
+  if (row.size() != weights_.size()) {
+    throw std::invalid_argument("AmplMmGbsaSurrogate::predict: descriptor length mismatch");
+  }
   double y = 0.0;
-  for (size_t i = 0; i < f.size(); ++i) y += f[i] * weights_[i];
+  for (size_t i = 0; i < row.size(); ++i) y += row[i] * weights_[i];
   return static_cast<float>(y);
 }
 

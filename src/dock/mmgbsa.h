@@ -81,11 +81,21 @@ class AmplMmGbsaSurrogate {
   /// Fit on example poses and their true MM/GBSA scores.
   void fit(const std::vector<Molecule>& poses, const std::vector<std::vector<Atom>>& pockets,
            const std::vector<float>& mmgbsa_scores, float ridge = 1.0f);
+  /// Fit on precomputed descriptor rows (one features() vector per pose):
+  /// bitwise the same weights as the pose overload for the same poses.
+  void fit(const std::vector<std::vector<double>>& rows, const std::vector<float>& mmgbsa_scores,
+           float ridge = 1.0f);
 
   float predict(const Molecule& pose, const std::vector<Atom>& pocket) const;
+  /// Predict from a precomputed features() vector; bitwise equal to the
+  /// pose overload.
+  float predict(const std::vector<double>& row) const;
   bool trained() const { return !weights_.empty(); }
+  /// Ridge weights, bias last; empty before fit.
+  const std::vector<double>& weights() const { return weights_; }
 
-  /// Descriptor vector used by the regression (exposed for tests).
+  /// Descriptor vector used by the regression. Depends only on (pose,
+  /// pocket), so callers may compute it wherever the pose is produced.
   static std::vector<double> features(const Molecule& pose, const std::vector<Atom>& pocket);
 
  private:

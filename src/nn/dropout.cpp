@@ -9,8 +9,6 @@ namespace {
 thread_local bool t_keyed_active = false;
 thread_local uint64_t t_keyed_key = 0;
 thread_local uint64_t t_keyed_ordinal = 0;
-
-constexpr uint64_t kLayerStreamTag = 0xD70Fu;
 }  // namespace
 
 KeyedDropoutScope::KeyedDropoutScope(uint64_t key)
@@ -38,7 +36,8 @@ Tensor Dropout::forward(const Tensor& x) {
   core::Rng keyed(0);
   core::Rng* rng = &rng_;
   if (t_keyed_active) {
-    keyed = core::Rng(core::derive_stream(t_keyed_key, kLayerStreamTag, t_keyed_ordinal++));
+    keyed = core::Rng(
+        core::derive_stream(t_keyed_key, core::stream_tag::kDropoutLayer, t_keyed_ordinal++));
     rng = &keyed;
   }
   const float keep = 1.0f - rate_;

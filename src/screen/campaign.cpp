@@ -5,9 +5,11 @@
 #include <filesystem>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <thread>
 
 #include "core/parallel.h"
+#include "core/rng.h"
 #include "core/threadpool.h"
 #include "io/log.h"
 #include "screen/checkpoint.h"
@@ -21,8 +23,6 @@ namespace df::screen {
 namespace fs = std::filesystem;
 
 namespace {
-constexpr uint64_t kAssayStreamTag = 0x4153534159ULL;  // "ASSAY"
-
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
@@ -64,7 +64,6 @@ CampaignReport ScreeningCampaign::run_impl(const std::vector<data::LibraryCompou
                                            const std::string& scorer,
                                            ClusterController* cluster) {
   CampaignReport report;
-  core::Rng rng(cfg_.seed);
 
   const bool ordered = service != nullptr ? service->config().ordered_stream : cluster->ordered();
   const int scoring_batch =
@@ -80,10 +79,11 @@ CampaignReport ScreeningCampaign::run_impl(const std::vector<data::LibraryCompou
         "recovered from the streamed shards on resume");
   }
 
-  // One worker pool for the whole campaign: fusion scoring jobs run their
-  // ranks on it, and while it is installed as the compute pool the numeric
-  // kernels (gemm, conv lowering, voxel splatting) pick it up for any work
-  // issued from the campaign thread.
+  // One worker pool for the whole campaign: the docking stage runs its
+  // (compound, target) pairs on it, fusion scoring jobs run their ranks on
+  // it, and while it is installed as the compute pool the numeric kernels
+  // (gemm, conv lowering, voxel splatting) pick it up for any work issued
+  // from the campaign thread.
   const unsigned hw = std::thread::hardware_concurrency();
   const size_t pool_threads =
       cfg_.threads > 0 ? static_cast<size_t>(cfg_.threads) : (hw != 0 ? hw : 1);
@@ -93,62 +93,87 @@ CampaignReport ScreeningCampaign::run_impl(const std::vector<data::LibraryCompou
   struct PoseBookkeeping {
     size_t compound_idx;
     int target_idx;
-    int pose_idx;
     float vina;
     float mmgbsa = std::numeric_limits<float>::quiet_NaN();
     float true_pk;
+    std::vector<double> ampl_features;  // AmplMmGbsaSurrogate::features of the pose
   };
   std::vector<PoseWorkItem> work;
   std::vector<PoseBookkeeping> book;
 
   // Per-target AMPL surrogate training data.
-  std::vector<std::vector<dock::Molecule>> ampl_poses(targets_.size());
-  std::vector<std::vector<std::vector<chem::Atom>>> ampl_pockets(targets_.size());
+  std::vector<std::vector<std::vector<double>>> ampl_rows(targets_.size());
   std::vector<std::vector<float>> ampl_scores(targets_.size());
 
   // --- docking stage (ConveyorLC CDT2-4) ---
-  // Deterministic given the campaign seed, so a resumed process simply
-  // re-derives the pose list instead of persisting it.
+  // Every (compound, target) pair docks as its own task on the campaign
+  // pool, on an RNG stream keyed by (seed, compound, target), and computes
+  // there what depends only on its poses: the oracle pK and the AMPL
+  // descriptors. A serial pass then gathers the pairs in (compound, target)
+  // order, so the pose list is independent of the pool size and of the rest
+  // of the library. Deterministic given the campaign seed, so a resumed
+  // process simply re-derives the pose list instead of persisting it.
   auto t0 = std::chrono::steady_clock::now();
-  dock::ConveyorLC pipeline(cfg_.pipeline);
+  const dock::ConveyorLC pipeline(cfg_.pipeline);
   std::vector<dock::ReceptorModel> receptors;
   receptors.reserve(targets_.size());
   for (const data::Target& t : targets_) receptors.push_back(dock::ConveyorLC::prepare_receptor(t.pocket));
 
   std::vector<bool> rejected(compounds.size(), false);
-  for (size_t ci = 0; ci < compounds.size(); ++ci) {
-    const chem::Molecule raw = data::materialize(compounds[ci]);
-    for (size_t ti = 0; ti < targets_.size(); ++ti) {
-      auto res = pipeline.run(raw, receptors[ti], rng);
-      if (!res) {
-        rejected[ci] = true;
-        break;  // prep rejection is compound-wide
+  {
+    struct DockedPair {
+      std::optional<dock::PipelineResult> res;  // nullopt = ligand prep rejected
+      std::vector<float> true_pk;               // per pose
+      std::vector<std::vector<double>> ampl_features;  // per pose
+    };
+    const size_t num_targets = targets_.size();
+    std::vector<DockedPair> docked(compounds.size() * num_targets);
+    core::parallel_for(pool, docked.size(), [&](size_t pair) {
+      const size_t ci = pair / num_targets, ti = pair % num_targets;
+      core::Rng rng(core::derive_stream(cfg_.seed, core::stream_tag::kDock, pair));
+      DockedPair& slot = docked[pair];
+      slot.res = pipeline.run(data::materialize(compounds[ci]), receptors[ti], rng);
+      if (!slot.res) return;
+      for (const chem::Molecule& pose : slot.res->conformers) {
+        slot.true_pk.push_back(
+            data::oracle_pk(pose, targets_[ti].pocket, targets_[ti].oracle, nullptr));
+        slot.ampl_features.push_back(
+            dock::AmplMmGbsaSurrogate::features(pose, targets_[ti].pocket));
       }
-      report.mmgbsa_seconds += res->mmgbsa_seconds;
-      for (size_t pi = 0; pi < res->poses.size(); ++pi) {
-        PoseWorkItem item;
-        item.compound_id = static_cast<int64_t>(ci);
-        item.target_id = static_cast<int32_t>(ti);
-        item.pose_id = static_cast<int32_t>(pi);
-        item.ligand = res->conformers[pi];
-        item.pocket = &targets_[ti].pocket;
-        item.site_center = receptors[ti].site_center;
-        work.push_back(std::move(item));
+    });
 
-        PoseBookkeeping pb;
-        pb.compound_idx = ci;
-        pb.target_idx = static_cast<int>(ti);
-        pb.pose_idx = static_cast<int>(pi);
-        pb.vina = res->poses[pi].score;
-        if (pi < res->mmgbsa_scores.size()) {
-          pb.mmgbsa = res->mmgbsa_scores[pi];
-          ampl_poses[ti].push_back(res->conformers[pi]);
-          ampl_pockets[ti].push_back(targets_[ti].pocket);
-          ampl_scores[ti].push_back(res->mmgbsa_scores[pi]);
+    for (size_t ci = 0; ci < compounds.size(); ++ci) {
+      for (size_t ti = 0; ti < num_targets; ++ti) {
+        DockedPair& slot = docked[ci * num_targets + ti];
+        if (!slot.res) {
+          rejected[ci] = true;
+          break;  // prep rejection is compound-wide
         }
-        pb.true_pk = data::oracle_pk(res->conformers[pi], targets_[ti].pocket,
-                                     targets_[ti].oracle, nullptr);
-        book.push_back(pb);
+        dock::PipelineResult& res = *slot.res;
+        report.mmgbsa_seconds += res.mmgbsa_seconds;
+        for (size_t pi = 0; pi < res.poses.size(); ++pi) {
+          PoseBookkeeping pb;
+          pb.compound_idx = ci;
+          pb.target_idx = static_cast<int>(ti);
+          pb.vina = res.poses[pi].score;
+          pb.true_pk = slot.true_pk[pi];
+          pb.ampl_features = std::move(slot.ampl_features[pi]);
+          if (pi < res.mmgbsa_scores.size()) {
+            pb.mmgbsa = res.mmgbsa_scores[pi];
+            ampl_rows[ti].push_back(pb.ampl_features);
+            ampl_scores[ti].push_back(res.mmgbsa_scores[pi]);
+          }
+          book.push_back(std::move(pb));
+
+          PoseWorkItem item;
+          item.compound_id = static_cast<int64_t>(ci);
+          item.target_id = static_cast<int32_t>(ti);
+          item.pose_id = static_cast<int32_t>(pi);
+          item.ligand = std::move(res.conformers[pi]);
+          item.pocket = &targets_[ti].pocket;
+          item.site_center = receptors[ti].site_center;
+          work.push_back(std::move(item));
+        }
       }
     }
   }
@@ -159,9 +184,7 @@ CampaignReport ScreeningCampaign::run_impl(const std::vector<data::LibraryCompou
   // --- AMPL surrogates (one per target, like McLoughlin's models) ---
   std::vector<dock::AmplMmGbsaSurrogate> ampl(targets_.size());
   for (size_t ti = 0; ti < targets_.size(); ++ti) {
-    if (ampl_scores[ti].size() >= 12) {
-      ampl[ti].fit(ampl_poses[ti], ampl_pockets[ti], ampl_scores[ti]);
-    }
+    if (ampl_scores[ti].size() >= 12) ampl[ti].fit(ampl_rows[ti], ampl_scores[ti]);
   }
 
   // --- rank plan: the §4.3 schedule of work units over the cluster ---
@@ -478,10 +501,9 @@ CampaignReport ScreeningCampaign::run_impl(const std::vector<data::LibraryCompou
     r.vina_score = std::min(r.vina_score, pb.vina);
     if (!std::isnan(pb.mmgbsa)) r.mmgbsa_score = std::min(r.mmgbsa_score, pb.mmgbsa);
     r.true_pk = std::max(r.true_pk, pb.true_pk);
-    if (ampl[static_cast<size_t>(pb.target_idx)].trained()) {
-      const float a = ampl[static_cast<size_t>(pb.target_idx)].predict(
-          work[i].ligand, targets_[static_cast<size_t>(pb.target_idx)].pocket);
-      r.ampl_mmgbsa_score = std::min(r.ampl_mmgbsa_score, a);
+    const dock::AmplMmGbsaSurrogate& surrogate = ampl[static_cast<size_t>(pb.target_idx)];
+    if (surrogate.trained()) {
+      r.ampl_mmgbsa_score = std::min(r.ampl_mmgbsa_score, surrogate.predict(pb.ampl_features));
     }
   }
 
@@ -492,7 +514,7 @@ CampaignReport ScreeningCampaign::run_impl(const std::vector<data::LibraryCompou
   for (auto& [key, r] : agg) {
     const data::Target& t = targets_[static_cast<size_t>(r.target_index)];
     core::Rng assay_rng(core::derive_stream(
-        cfg_.seed, kAssayStreamTag,
+        cfg_.seed, core::stream_tag::kAssay,
         key.first * targets_.size() + static_cast<size_t>(key.second)));
     r.percent_inhibition =
         data::percent_inhibition(r.true_pk, t.assay_concentration_uM, assay_rng, cfg_.assay);

@@ -8,12 +8,14 @@
 // for Vina/MM-GBSA). The assay simulator then produces the experimental
 // percent-inhibition values used by Figures 5/6 and Table 8.
 //
-// The driver is a RankPlan walk: the pose list is partitioned into work
-// units keyed by stable ids, every stochastic decision (job scoring
-// streams, fault injection, assay noise) derives from (seed, stable id),
-// finished units stream to per-rank CRC-framed shards, and a compact
-// checkpoint written every K completed jobs makes the campaign killable at
-// any instant and resumable to the bit-identical report.
+// Docking runs each (compound, target) pair as its own task on the
+// campaign's worker pool. The scoring driver is a RankPlan walk: the pose
+// list is partitioned into work units keyed by stable ids, every
+// stochastic decision (docking + MM/GBSA, job scoring streams, fault
+// injection, assay noise) derives from (seed, stable id), finished units
+// stream to per-rank CRC-framed shards, and a compact checkpoint written
+// every K completed jobs makes the campaign killable at any instant and
+// resumable to the bit-identical report.
 #pragma once
 
 #include <map>
@@ -55,7 +57,8 @@ struct CampaignConfig {
   int poses_per_job = 512;               // paper: 2M; scaled
   data::AssayConfig assay;
   int max_job_retries = 4;
-  int threads = 0;                       // shared worker pool size; 0 = hardware concurrency
+  int threads = 0;                       // worker pool size (docking pairs, scoring
+                                         // ranks); 0 = hardware concurrency
   uint64_t seed = 2021;
 
   // --- multi-rank / fault-tolerance layer ---
@@ -81,8 +84,9 @@ struct CampaignReport {
   int jobs_run = 0;
   int jobs_failed = 0;
   int compounds_rejected = 0;            // ligand-prep rejections
-  double docking_seconds = 0;
-  double mmgbsa_seconds = 0;
+  double docking_seconds = 0;            // wall time of the docking stage
+  double mmgbsa_seconds = 0;             // per-pair MM/GBSA times summed across
+                                         // pool threads: can exceed docking_seconds
   double fusion_seconds = 0;
   int poses_generated = 0;
   // --- fault-tolerance layer ---

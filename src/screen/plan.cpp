@@ -6,10 +6,6 @@
 
 namespace df::screen {
 
-namespace {
-constexpr uint64_t kJobStreamTag = 0x4a4f4253ULL;  // "JOBS"
-}  // namespace
-
 RankPlan RankPlan::build(size_t total_poses, int poses_per_job, const JobConfig& job,
                          const ClusterConfig& cluster) {
   RankPlan plan;
@@ -34,7 +30,7 @@ RankPlan RankPlan::build(size_t total_poses, int poses_per_job, const JobConfig&
 
 uint64_t unit_seed(uint64_t campaign_seed, uint32_t unit_id, int attempt) {
   return core::derive_stream(
-      campaign_seed, kJobStreamTag,
+      campaign_seed, core::stream_tag::kJob,
       (static_cast<uint64_t>(unit_id) << 8) | static_cast<uint64_t>(attempt & 0xff));
 }
 

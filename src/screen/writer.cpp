@@ -40,11 +40,6 @@ std::string read_file_bytes(const std::string& path) {
   return bytes;
 }
 
-uint32_t file_crc32(const std::string& path) {
-  const std::string bytes = read_file_bytes(path);
-  return io::crc32(bytes.data(), bytes.size());
-}
-
 ShardDamageKind classify(const io::H5LiteError& e) {
   switch (e.kind()) {
     case io::H5LiteError::Kind::Open:
@@ -124,13 +119,11 @@ int64_t ShardScan::rows() const {
   return n;
 }
 
-ShardScan scan_shard_stream(const std::string& path) {
+namespace {
+/// Walk the bytes of the shard stream at `path` (read by the caller, so one
+/// read can also serve the whole-file CRC); damage entries name `path`.
+ShardScan scan_shard_bytes(const std::string& path, const std::string& bytes) {
   ShardScan scan;
-  if (!fs::exists(path)) {
-    scan.damage.push_back({path, ShardDamageKind::MissingFile, 0});
-    return scan;
-  }
-  const std::string bytes = read_file_bytes(path);
   if (bytes.size() < kStreamHeaderBytes ||
       std::memcmp(bytes.data(), kStreamMagic, 4) != 0) {
     scan.damage.push_back({path, ShardDamageKind::BadHeader, 0});
@@ -190,6 +183,16 @@ ShardScan scan_shard_stream(const std::string& path) {
   }
   return scan;
 }
+}  // namespace
+
+ShardScan scan_shard_stream(const std::string& path) {
+  if (!fs::exists(path)) {
+    ShardScan scan;
+    scan.damage.push_back({path, ShardDamageKind::MissingFile, 0});
+    return scan;
+  }
+  return scan_shard_bytes(path, read_file_bytes(path));
+}
 
 void compact_shard_stream(const std::string& path, const std::function<bool(uint64_t)>& keep) {
   const ShardScan scan = scan_shard_stream(path);
@@ -244,10 +247,10 @@ void write_shard_manifest(const std::string& prefix, int num_shards) {
       sizes.push_back(0);
       continue;
     }
-    const ShardScan scan = scan_shard_stream(path);
-    rows.push_back(scan.rows());
-    crcs.push_back(static_cast<int64_t>(file_crc32(path)));
-    sizes.push_back(static_cast<int64_t>(fs::file_size(path)));
+    const std::string bytes = read_file_bytes(path);
+    rows.push_back(scan_shard_bytes(path, bytes).rows());
+    crcs.push_back(static_cast<int64_t>(io::crc32(bytes.data(), bytes.size())));
+    sizes.push_back(static_cast<int64_t>(bytes.size()));
   }
   const int64_t n = static_cast<int64_t>(num_shards);
   io::ArtifactWriter m;
@@ -282,13 +285,12 @@ std::vector<ShardDamage> verify_shard_manifest(const std::string& prefix) {
       damage.push_back({path, ShardDamageKind::MissingFile, 0});
       continue;
     }
-    const int64_t size = static_cast<int64_t>(fs::file_size(path));
-    const uint32_t crc = file_crc32(path);
-    if (crc == static_cast<uint32_t>(crcs[s])) continue;
-    const ShardScan scan = scan_shard_stream(path);
+    const std::string bytes = read_file_bytes(path);
+    if (io::crc32(bytes.data(), bytes.size()) == static_cast<uint32_t>(crcs[s])) continue;
+    const bool shorter = static_cast<int64_t>(bytes.size()) < sizes[s];
     damage.push_back(
-        {path, size < sizes[s] ? ShardDamageKind::TruncatedBlock : ShardDamageKind::CrcMismatch,
-         scan.rows()});
+        {path, shorter ? ShardDamageKind::TruncatedBlock : ShardDamageKind::CrcMismatch,
+         scan_shard_bytes(path, bytes).rows()});
   }
   return damage;
 }

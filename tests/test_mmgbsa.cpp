@@ -59,7 +59,13 @@ TEST(AmplSurrogate, PredictBeforeFitThrows) {
 
 TEST(AmplSurrogate, FitValidatesInputs) {
   AmplMmGbsaSurrogate s;
-  EXPECT_THROW(s.fit({}, {}, {}), std::invalid_argument);
+  EXPECT_THROW(s.fit(std::vector<Molecule>{}, {}, {}), std::invalid_argument);
+  EXPECT_THROW(s.fit(std::vector<std::vector<double>>{}, {}), std::invalid_argument);
+  // Descriptor rows must match the scores and each other in length.
+  EXPECT_THROW(s.fit(std::vector<std::vector<double>>{{1.0, 2.0}}, {1.0f, 2.0f}),
+               std::invalid_argument);
+  EXPECT_THROW(s.fit(std::vector<std::vector<double>>{{1.0, 2.0}, {1.0}}, {1.0f, 2.0f}),
+               std::invalid_argument);
 }
 
 TEST(AmplSurrogate, LearnsMmGbsaWithinSampleError) {
@@ -96,6 +102,36 @@ TEST(AmplSurrogate, LearnsMmGbsaWithinSampleError) {
   // demand a meaningful but not tight fit: clearly better than predicting
   // the mean (R^2 > 0.25 in-sample).
   EXPECT_LT(err, var * 0.75);
+}
+
+TEST(AmplSurrogate, DescriptorPathBitwiseEqualsPoseApi) {
+  // The campaign computes features() where each pose is docked and fits and
+  // predicts from those rows; that must be the pose API, bit for bit.
+  Rng rng(8);
+  std::vector<Atom> pocket = data::make_pocket({5.0f, 48, 0.65f, 0.5f, 0.12f}, rng);
+  std::vector<Molecule> poses;
+  std::vector<std::vector<Atom>> pockets;
+  std::vector<std::vector<double>> rows;
+  std::vector<float> scores;
+  for (int i = 0; i < 16; ++i) {
+    Molecule lig = posed_ligand(rng);
+    lig.translate({rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1)});
+    poses.push_back(lig);
+    pockets.push_back(pocket);
+    rows.push_back(AmplMmGbsaSurrogate::features(lig, pocket));
+    scores.push_back(rng.uniform(-40.0f, 0.0f));
+  }
+  AmplMmGbsaSurrogate by_pose, by_row;
+  by_pose.fit(poses, pockets, scores);
+  by_row.fit(rows, scores);
+  ASSERT_TRUE(by_row.trained());
+  for (size_t i = 0; i < poses.size(); ++i) {
+    // EXPECT_EQ on floats is exact equality.
+    EXPECT_EQ(by_pose.predict(poses[i], pocket), by_row.predict(rows[i]));
+    EXPECT_EQ(by_row.predict(poses[i], pocket), by_pose.predict(rows[i]));
+  }
+  EXPECT_EQ(by_pose.weights(), by_row.weights());
+  EXPECT_THROW(by_row.predict(std::vector<double>(3, 0.0)), std::invalid_argument);
 }
 
 TEST(ConveyorLC, ReceptorPrepCentersSite) {

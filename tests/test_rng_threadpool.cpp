@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <iterator>
 #include <set>
 
 #include "core/rng.h"
@@ -59,6 +60,19 @@ TEST(Rng, ShuffleIsPermutation) {
   rng.shuffle(v);
   std::sort(v.begin(), v.end());
   EXPECT_EQ(v, orig);
+}
+
+TEST(Rng, StreamTagRegistryIsDistinct) {
+  // Two layers sharing a tag would draw correlated "independent" streams
+  // from the same seed.
+  const std::set<uint64_t> tags(std::begin(stream_tag::kAll), std::end(stream_tag::kAll));
+  EXPECT_EQ(tags.size(), std::size(stream_tag::kAll));
+  // The campaign tags keep the values they had before the registry, so
+  // job, fault and assay streams replay bitwise.
+  EXPECT_EQ(stream_tag::kJob, 0x4a4f4253ULL);
+  EXPECT_EQ(stream_tag::kFault, 0x4641554c54ULL);
+  EXPECT_EQ(stream_tag::kAssay, 0x4153534159ULL);
+  EXPECT_EQ(stream_tag::kDropoutLayer, 0xD70FULL);
 }
 
 TEST(ThreadPool, RunsAllJobs) {
