@@ -57,39 +57,54 @@ float Molecule::tpsa_proxy() const {
   return v;
 }
 
-namespace {
-/// A bond is in a ring iff its endpoints stay connected when it is removed.
-bool bond_in_ring(const Molecule& m, const Bond& bond) {
-  std::vector<bool> seen(m.num_atoms(), false);
-  std::vector<int32_t> stack{bond.a};
-  seen[static_cast<size_t>(bond.a)] = true;
-  while (!stack.empty()) {
-    const int32_t v = stack.back();
-    stack.pop_back();
-    for (int32_t u : m.neighbors(v)) {
-      if (v == bond.a && u == bond.b) continue;  // skip the removed bond
-      if (v == bond.b && u == bond.a) continue;
-      if (!seen[static_cast<size_t>(u)]) {
-        seen[static_cast<size_t>(u)] = true;
-        if (u == bond.b) return true;
-        stack.push_back(u);
+int Molecule::num_rotatable_bonds() const {
+  // Single, acyclic bonds between two non-terminal heavy atoms. A bond is
+  // acyclic iff its atoms fall apart without it (a bridge), found for every
+  // bond at once by one iterative low-link DFS: tree edge parent->v is a
+  // bridge iff nothing in v's subtree reaches back to the parent or above.
+  // Each atom skips every edge back to its DFS parent, so parallel bonds
+  // between one atom pair count as a single edge.
+  constexpr size_t kNone = static_cast<size_t>(-1);
+  const size_t n = atoms_.size();
+  std::vector<size_t> disc(n, kNone), low(n, 0), parent(n, kNone);
+  std::vector<std::pair<size_t, size_t>> stack;  // (atom, next neighbor slot)
+  stack.reserve(n);
+  size_t clock = 0;
+  for (size_t root = 0; root < n; ++root) {
+    if (disc[root] != kNone) continue;
+    disc[root] = low[root] = clock++;
+    stack.emplace_back(root, 0);
+    while (!stack.empty()) {
+      const size_t v = stack.back().first;
+      const std::vector<int32_t>& nbrs = adjacency_[v];
+      const size_t slot = stack.back().second++;
+      if (slot == nbrs.size()) {
+        stack.pop_back();
+        if (parent[v] != kNone) low[parent[v]] = std::min(low[parent[v]], low[v]);
+        continue;
+      }
+      const size_t u = static_cast<size_t>(nbrs[slot]);
+      if (u == parent[v]) continue;
+      if (disc[u] == kNone) {
+        parent[u] = v;
+        disc[u] = low[u] = clock++;
+        stack.emplace_back(u, 0);
+      } else {
+        low[v] = std::min(low[v], disc[u]);
       }
     }
   }
-  return seen[static_cast<size_t>(bond.b)];
-}
-}  // namespace
-
-int Molecule::num_rotatable_bonds() const {
-  // Single, acyclic bonds between two non-terminal heavy atoms.
-  int n = 0;
+  const auto is_bridge = [&](size_t a, size_t b) {
+    if (parent[a] == b) std::swap(a, b);
+    return parent[b] == a && low[b] > disc[a];
+  };
+  int count = 0;
   for (const Bond& b : bonds_) {
     if (b.order != 1) continue;
     if (degree(b.a) < 2 || degree(b.b) < 2) continue;
-    if (bond_in_ring(*this, b)) continue;
-    ++n;
+    if (is_bridge(static_cast<size_t>(b.a), static_cast<size_t>(b.b))) ++count;
   }
-  return n;
+  return count;
 }
 
 int Molecule::num_rings() const {

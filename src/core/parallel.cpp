@@ -29,9 +29,9 @@ ComputePoolGuard::~ComputePoolGuard() { g_compute_pool.store(previous_); }
 
 void parallel_for_on(ThreadPool* pool, size_t n, const std::function<void(size_t)>& fn) {
   // Same reentrancy guard as parallel_for_auto: a caller that is itself a
-  // pool worker must not submit-and-join (every worker blocking in
-  // wait_idle() while the jobs sit behind them deadlocks permanently) —
-  // e.g. a PB2 member that fans out training lanes on the population pool.
+  // pool worker runs its fan-out serially — e.g. a PB2 member that fans out
+  // training lanes on the population pool, whose other workers are busy
+  // with their own members.
   if (pool != nullptr && pool->size() > 0 && n > 1 && !in_pool_worker()) {
     parallel_for(*pool, n, fn);
     return;

@@ -2,8 +2,8 @@
 // voxel splatting, pooling) are leaf code that cannot know who owns the
 // threads, so they pick up an optional shared ThreadPool from here and fall
 // back to serial execution when none is installed — or when the caller is
-// itself a pool worker, which keeps nested parallel regions from deadlocking
-// wait_idle().
+// itself a pool worker (or a parallel_for caller running its own share),
+// which keeps nested parallel regions serial instead of oversubscribing.
 #pragma once
 
 #include <cstddef>
@@ -27,8 +27,9 @@ bool in_pool_worker();
 /// treat it like a pool worker and never submit to the shared compute pool.
 /// Threads that are peers of the pool rather than owners of it — e.g. a
 /// ScoringService worker scoring batches while campaign ranks block on the
-/// pool — install this so they cannot contend for wait_idle() (the pool
-/// assumes one logical submitter) or deadlock against blocked pool workers.
+/// pool — install this so their kernels never queue work behind the pool's
+/// long-running jobs. parallel_for installs it on its calling thread while
+/// that thread runs its share of the indices.
 class SerialComputeScope {
  public:
   SerialComputeScope();

@@ -22,6 +22,10 @@
 #include <cstdint>
 #include <cstring>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
+
 namespace df::core::simd {
 
 #if defined(__GNUC__) || defined(__clang__)
@@ -44,6 +48,19 @@ inline vf16 iota16() {
 }
 
 inline vi16 iota16i() { return vi16{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}; }
+
+/// 16 consecutive values from `p` (any alignment).
+inline vf16 load16(const float* p) {
+  vf16 r;
+  std::memcpy(&r, p, sizeof(r));
+  return r;
+}
+
+inline vi16 load16(const int32_t* p) {
+  vi16 r;
+  std::memcpy(&r, p, sizeof(r));
+  return r;
+}
 
 /// Cephes single-precision exp: clamp, n = round(x/ln2), polynomial on the
 /// reduced argument, scale by 2^n through the exponent bits.
@@ -73,6 +90,33 @@ inline vf16 vexp16(vf16 x) {
   vf16 scale;
   std::memcpy(&scale, &pow2n, sizeof(scale));
   return y * scale;
+}
+
+/// Lane-wise IEEE sqrt: each lane is bitwise std::sqrt of its input (the
+/// instruction is correctly rounded at every width).
+inline vf16 vsqrt16(vf16 x) {
+#if defined(__AVX512F__)
+  __m512 v;
+  std::memcpy(&v, &x, sizeof(v));
+  // Full-mask form: GCC 12's _mm512_sqrt_ps trips -Wmaybe-uninitialized on
+  // its undefined passthrough operand.
+  v = _mm512_maskz_sqrt_ps(static_cast<__mmask16>(0xFFFF), v);
+  std::memcpy(&x, &v, sizeof(v));
+#elif defined(__AVX__)
+  __m256 v[2];
+  std::memcpy(v, &x, sizeof(v));
+  v[0] = _mm256_sqrt_ps(v[0]);
+  v[1] = _mm256_sqrt_ps(v[1]);
+  std::memcpy(&x, v, sizeof(v));
+#elif defined(__SSE__)
+  __m128 v[4];
+  std::memcpy(v, &x, sizeof(v));
+  for (__m128& q : v) q = _mm_sqrt_ps(q);
+  std::memcpy(&x, v, sizeof(v));
+#else
+  for (int k = 0; k < 16; ++k) x[k] = std::sqrt(x[k]);
+#endif
+  return x;
 }
 
 inline vf16 vsigmoid16(vf16 x) { return splat(1.0f) / (splat(1.0f) + vexp16(-x)); }

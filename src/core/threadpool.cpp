@@ -1,6 +1,11 @@
 #include "core/threadpool.h"
 
+#include <algorithm>
+#include <atomic>
+#include <memory>
 #include <utility>
+
+#include "core/parallel.h"
 
 namespace df::core {
 
@@ -73,17 +78,56 @@ void ThreadPool::worker_loop() {
 }
 
 void parallel_for(ThreadPool& pool, size_t n, const std::function<void(size_t)>& fn) {
-  // Chunk by worker count to amortize queue traffic for fine-grained bodies.
-  const size_t chunks = pool.size() * 4;
-  const size_t step = (n + chunks - 1) / (chunks == 0 ? 1 : chunks);
-  if (step == 0) return;
-  for (size_t lo = 0; lo < n; lo += step) {
-    const size_t hi = std::min(n, lo + step);
-    pool.submit([lo, hi, &fn] {
-      for (size_t i = lo; i < hi; ++i) fn(i);
-    });
+  if (n == 0) return;
+  // Per-call completion state, shared with the helper jobs: a helper that
+  // starts after the caller has returned still touches `next`, so the state
+  // outlives the call; `fn` is only reached through a claimed index, which
+  // the caller is still waiting on.
+  struct Join {
+    std::atomic<size_t> next{0};
+    std::mutex mu;
+    std::condition_variable cv;
+    size_t done = 0;  // indices finished, under mu
+    std::exception_ptr error;
+  };
+  const size_t participants = pool.size() + 1;
+  // About 8 claims per participant: 1 index per claim for coarse tasks
+  // (24 docking pairs on 3 participants), amortized for fine-grained ones.
+  const size_t block = std::max<size_t>(1, n / (8 * participants));
+  const size_t blocks = (n + block - 1) / block;
+  auto join = std::make_shared<Join>();
+  auto drain = [join, n, block, &fn] {
+    size_t finished = 0;
+    std::exception_ptr err;
+    for (size_t lo; (lo = join->next.fetch_add(block)) < n;) {
+      const size_t hi = std::min(n, lo + block);
+      try {
+        for (size_t i = lo; i < hi; ++i) fn(i);
+      } catch (...) {
+        if (!err) err = std::current_exception();
+      }
+      finished += hi - lo;
+    }
+    if (finished == 0) return;
+    // The error changes hands under the mutex, so the thread that rethrows
+    // it holds the last reference (as wait_idle() does with first_error_).
+    std::lock_guard lk(join->mu);
+    if (err && !join->error) join->error = std::move(err);
+    join->done += finished;
+    if (join->done == n) join->cv.notify_all();
+  };
+  for (size_t h = 0; h + 1 < std::min(blocks, participants); ++h) pool.submit(drain);
+  {
+    SerialComputeScope serial;
+    drain();
   }
-  pool.wait_idle();
+  std::unique_lock lk(join->mu);
+  join->cv.wait(lk, [&] { return join->done == n; });
+  if (join->error) {
+    std::exception_ptr err = std::exchange(join->error, nullptr);
+    lk.unlock();
+    std::rethrow_exception(err);
+  }
 }
 
 }  // namespace df::core

@@ -3,9 +3,10 @@
 // pushed as std::function jobs and joined with wait_idle(), mirroring the
 // fork/allgather structure of a Fusion scoring job (paper Fig. 3).
 //
-// Jobs that throw do not kill the worker: the first exception is captured
-// and rethrown from the next wait_idle()/parallel_for() join, so a failing
-// rank surfaces at the barrier instead of calling std::terminate.
+// Jobs that throw do not kill the worker: the first exception of a
+// submit()ted job is captured and rethrown from the next wait_idle(), so a
+// failing rank surfaces at the barrier instead of calling std::terminate.
+// parallel_for() joins its own work only (see below).
 #pragma once
 
 #include <condition_variable>
@@ -53,8 +54,16 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-/// Run fn(i) for i in [0, n) across the pool and join. Rethrows the first
-/// exception thrown by any fn(i).
+/// Run fn(i) for i in [0, n) across the pool and join. The calling thread
+/// claims blocks of indices from a per-call cursor alongside up to
+/// pool.size() helper jobs, running its share under a SerialComputeScope
+/// (nested kernels stay serial, as on a worker). The block size follows
+/// from n and the participant count: 1 index per claim for a few dozen
+/// coarse tasks. The call waits only for its own indices — not for
+/// unrelated submit() jobs — and rethrows the first exception thrown by
+/// one of its own fn(i), after all its indices ran; concurrent callers on
+/// one pool never see each other's errors. Since the caller can run every
+/// index itself, a call from inside a pool job cannot deadlock.
 void parallel_for(ThreadPool& pool, size_t n, const std::function<void(size_t)>& fn);
 
 }  // namespace df::core

@@ -33,10 +33,15 @@ struct Vec3 {
   float dist(const Vec3& o) const { return (*this - o).norm(); }
 };
 
+/// Rotate `v` around unit axis `k` by the angle whose cosine is `c` and
+/// sine is `s` (Rodrigues).
+inline Vec3 rotate_axis_angle(const Vec3& v, const Vec3& k, float c, float s) {
+  return v * c + k.cross(v) * s + k * (k.dot(v) * (1.0f - c));
+}
+
 /// Rotate `v` around unit axis `k` by angle `theta` (Rodrigues).
 inline Vec3 rotate_axis_angle(const Vec3& v, const Vec3& k, float theta) {
-  const float c = std::cos(theta), s = std::sin(theta);
-  return v * c + k.cross(v) * s + k * (k.dot(v) * (1.0f - c));
+  return rotate_axis_angle(v, k, std::cos(theta), std::sin(theta));
 }
 
 }  // namespace df::core

@@ -8,12 +8,28 @@ namespace df::dock {
 DockingResult DockingEngine::dock(const Molecule& ligand, const std::vector<Atom>& pocket,
                                   const core::Vec3& site_center, core::Rng& rng) const {
   DockingResult out;
+  // Per-call invariants: the ligand's atom types and rotor count, the
+  // pocket's lane blocks and the centroid every pose rotates about. Each
+  // candidate is placed into one reused coordinate buffer (bitwise the
+  // positions Pose::apply gives), so a Monte Carlo step allocates nothing.
+  LigandTypes types;
+  types.assign(ligand);
+  PocketLanes lanes;
+  lanes.assign(pocket);
+  const int rotors = ligand.num_rotatable_bonds();
+  const core::Vec3 centroid = ligand.centroid();
+  std::vector<core::Vec3> coords(ligand.num_atoms());
+  auto score = [&](const Pose& p) {
+    p.place(ligand, centroid, site_center, coords.data());
+    ++out.total_evaluations;
+    return vina_score(score_terms(types, coords.data(), lanes), rotors, cfg_.weights);
+  };
+
   std::vector<Pose> best_per_run;
+  best_per_run.reserve(static_cast<size_t>(std::max(0, cfg_.num_runs)));
   for (int run = 0; run < cfg_.num_runs; ++run) {
     Pose current = random_pose(rng, cfg_.box_half);
-    Molecule m = current.apply(ligand, site_center);
-    current.score = vina_score(m, pocket, cfg_.weights);
-    ++out.total_evaluations;
+    current.score = score(current);
     Pose best = current;
     for (int step = 0; step < cfg_.steps_per_run; ++step) {
       Pose cand = perturb(current, rng);
@@ -21,9 +37,7 @@ DockingResult DockingEngine::dock(const Molecule& ligand, const std::vector<Atom
       cand.translation.x = std::clamp(cand.translation.x, -cfg_.box_half, cfg_.box_half);
       cand.translation.y = std::clamp(cand.translation.y, -cfg_.box_half, cfg_.box_half);
       cand.translation.z = std::clamp(cand.translation.z, -cfg_.box_half, cfg_.box_half);
-      Molecule cm = cand.apply(ligand, site_center);
-      cand.score = vina_score(cm, pocket, cfg_.weights);
-      ++out.total_evaluations;
+      cand.score = score(cand);
       const float delta = cand.score - current.score;
       if (delta < 0.0f || rng.uniform() < std::exp(-delta / cfg_.temperature)) {
         current = cand;

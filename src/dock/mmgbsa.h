@@ -64,7 +64,7 @@ float sa_nonpolar(const Molecule& ligand_pose, const std::vector<Atom>& pocket,
                   const MmGbsaConfig& cfg = {});
 /// Interface electrostatics, bitwise identical to
 /// score_terms(...).electrostatic (same 8 A cutoff, same accumulation
-/// order) but without paying for the other Vina terms.
+/// order). Computed by the same pair sweep as lj_energy.
 float elec_energy(const Molecule& ligand_pose, const std::vector<Atom>& pocket,
                   const MmGbsaConfig& cfg = {});
 

@@ -1,12 +1,26 @@
 #include "dock/pose.h"
 
+#include <cmath>
+#include <vector>
+
 namespace df::dock {
+
+void Pose::place(const Molecule& ligand, const Vec3& centroid, const Vec3& box_center,
+                 Vec3* out) const {
+  const Vec3 k = axis.normalized();
+  const float c = std::cos(angle), s = std::sin(angle);
+  const Vec3 shift = box_center + translation - centroid;
+  for (size_t i = 0; i < ligand.num_atoms(); ++i) {
+    const Vec3 v = ligand.atoms()[i].pos - centroid;
+    out[i] = centroid + core::rotate_axis_angle(v, k, c, s) + shift;
+  }
+}
 
 Molecule Pose::apply(const Molecule& ligand, const Vec3& box_center) const {
   Molecule m = ligand;
-  const Vec3 c = m.centroid();
-  m.rotate(c, axis, angle);
-  m.translate(box_center + translation - c);
+  std::vector<Vec3> pos(m.num_atoms());
+  place(ligand, m.centroid(), box_center, pos.data());
+  for (size_t i = 0; i < pos.size(); ++i) m.atoms()[i].pos = pos[i];
   return m;
 }
 

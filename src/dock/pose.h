@@ -23,6 +23,11 @@ struct Pose {
   /// Apply to a centred ligand copy: rotate about its centroid, then place
   /// the centroid at box_center + translation.
   Molecule apply(const Molecule& ligand, const Vec3& box_center) const;
+  /// Write the posed coordinates of `ligand` (whose centroid is
+  /// `centroid`) to out[0, num_atoms): the positions apply() gives — it runs
+  /// this same loop — without copying the Molecule.
+  void place(const Molecule& ligand, const Vec3& centroid, const Vec3& box_center,
+             Vec3* out) const;
 };
 
 /// Gaussian rigid-body perturbation (sigma_t in Angstrom, sigma_r in rad).

@@ -2,61 +2,149 @@
 
 #include <cmath>
 
+#include "core/simd_math.h"
+
+#pragma GCC diagnostic ignored "-Wpsabi"  // vector helpers: see core/simd_math.h
+
+#if !defined(DF_SIMD_MATH_VECTOR)
+#error "dock/scoring.cpp sweeps the pocket with the GNU vector extension (GCC or Clang)"
+#endif
+
 namespace df::dock {
 
 namespace {
 constexpr float kCutoff = 8.0f;
 
-float hydrophobic_ramp(float d) {
-  // 1 below 0.5 A surface distance, linear to 0 at 1.5 A.
-  if (d <= 0.5f) return 1.0f;
-  if (d >= 1.5f) return 0.0f;
-  return 1.5f - d;
-}
+using core::simd::load16;
+using core::simd::splat;
+using core::simd::vf16;
+using core::simd::vi16;
 
-float hbond_ramp(float d) {
-  // 1 below -0.7 A, linear to 0 at 0.
-  if (d <= -0.7f) return 1.0f;
-  if (d >= 0.0f) return 0.0f;
-  return -d / 0.7f;
+constexpr int32_t mask_of(bool b) { return b ? -1 : 0; }
+
+float lane_sum(vf16 v) {
+  float s = 0.0f;
+  for (int k = 0; k < 16; ++k) s += v[k];
+  return s;
 }
 }  // namespace
 
-TermBreakdown score_terms(const Molecule& ligand, const std::vector<Atom>& pocket) {
+void LigandTypes::assign(const Molecule& ligand) {
+  const size_t n = ligand.num_atoms();
+  vdw.resize(n);
+  hydrophobic.resize(n);
+  donor.resize(n);
+  acceptor.resize(n);
+  charge.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    const Atom& a = ligand.atoms()[i];
+    const chem::ElementInfo& e = chem::element_info(a.element);
+    vdw[i] = e.vdw_radius;
+    hydrophobic[i] = mask_of(e.hydrophobic);
+    donor[i] = mask_of(e.hbond_donor_heavy && a.implicit_h > 0);
+    acceptor[i] = mask_of(e.hbond_acceptor);
+    charge[i] = a.formal_charge;
+  }
+}
+
+void PocketLanes::assign(const std::vector<Atom>& pocket) {
+  blocks = (pocket.size() + kLanes - 1) / kLanes;
+  const size_t n = blocks * kLanes;
+  for (std::vector<float>* v : {&x, &y, &z, &vdw}) v->assign(n, 0.0f);
+  for (std::vector<int32_t>* v : {&live, &hydrophobic, &donor, &acceptor}) v->assign(n, 0);
+  charged.clear();
+  for (size_t j = 0; j < pocket.size(); ++j) {
+    const Atom& a = pocket[j];
+    const chem::ElementInfo& e = chem::element_info(a.element);
+    x[j] = a.pos.x;
+    y[j] = a.pos.y;
+    z[j] = a.pos.z;
+    vdw[j] = e.vdw_radius;
+    live[j] = -1;
+    hydrophobic[j] = mask_of(e.hydrophobic);
+    donor[j] = mask_of(e.hbond_donor_heavy);
+    acceptor[j] = mask_of(e.hbond_acceptor);
+    if (a.formal_charge != 0) charged.push_back(a);
+  }
+}
+
+TermBreakdown score_terms(const LigandTypes& ligand, const core::Vec3* pos,
+                          const PocketLanes& pocket) {
+  const vf16 zero{};
+  const vf16 one = splat(1.0f);
+  vf16 gauss1{}, gauss2{}, repulsion{}, hydrophobic{}, hbond{};
+  for (size_t i = 0; i < ligand.size(); ++i) {
+    const vf16 lx = splat(pos[i].x), ly = splat(pos[i].y), lz = splat(pos[i].z);
+    const vf16 lr = splat(ligand.vdw[i]);
+    const vi16 l_hydrophobic = vi16{} + ligand.hydrophobic[i];
+    const vi16 l_donor = vi16{} + ligand.donor[i];
+    const vi16 l_acceptor = vi16{} + ligand.acceptor[i];
+    for (size_t b = 0; b < pocket.blocks; ++b) {
+      const size_t at = b * PocketLanes::kLanes;
+      const vf16 dx = lx - load16(pocket.x.data() + at);
+      const vf16 dy = ly - load16(pocket.y.data() + at);
+      const vf16 dz = lz - load16(pocket.z.data() + at);
+      const vf16 r = core::simd::vsqrt16(dx * dx + dy * dy + dz * dz);
+      const vi16 in = (r <= splat(kCutoff)) & load16(pocket.live.data() + at);
+      const vf16 d = r - (lr + load16(pocket.vdw.data() + at));  // surface distance
+      // d / 0.5 and (d - 3) / 2: scaling by a power of two is exact, so the
+      // products round exactly like the quotients.
+      const vf16 q1 = d * splat(2.0f);
+      const vf16 q2 = (d - splat(3.0f)) * splat(0.5f);
+      gauss1 += in ? core::simd::vexp16(-(q1 * q1)) : zero;
+      gauss2 += in ? core::simd::vexp16(-(q2 * q2)) : zero;
+      repulsion += (in & (d < zero)) ? d * d : zero;
+      // 1 below 0.5 A surface distance, linear to 0 at 1.5 A.
+      const vf16 hyd_ramp = d <= splat(0.5f) ? one : (d >= splat(1.5f) ? zero : splat(1.5f) - d);
+      const vi16 both_hydrophobic = l_hydrophobic & load16(pocket.hydrophobic.data() + at);
+      hydrophobic += (in & both_hydrophobic) ? hyd_ramp : zero;
+      // 1 below -0.7 A, linear to 0 at 0.
+      const vf16 hb_ramp = d <= splat(-0.7f) ? one : (d >= zero ? zero : -d / splat(0.7f));
+      const vi16 pair = (l_donor & load16(pocket.acceptor.data() + at)) |
+                        (load16(pocket.donor.data() + at) & l_acceptor);
+      hbond += (in & pair) ? hb_ramp : zero;
+    }
+  }
   TermBreakdown t;
-  for (const Atom& la : ligand.atoms()) {
-    const chem::ElementInfo& li = chem::element_info(la.element);
-    for (const Atom& pa : pocket) {
-      const float r = la.pos.dist(pa.pos);
+  t.gauss1 = lane_sum(gauss1);
+  t.gauss2 = lane_sum(gauss2);
+  t.repulsion = lane_sum(repulsion);
+  t.hydrophobic = lane_sum(hydrophobic);
+  t.hbond = lane_sum(hbond);
+  // Only charged pairs contribute, so skipping the rest keeps the serial
+  // (ligand, pocket) order of every term that is added.
+  for (size_t i = 0; i < ligand.size(); ++i) {
+    if (ligand.charge[i] == 0) continue;
+    for (const Atom& pa : pocket.charged) {
+      const float r = pos[i].dist(pa.pos);
       if (r > kCutoff) continue;
-      const chem::ElementInfo& pi = chem::element_info(pa.element);
-      const float d = r - (li.vdw_radius + pi.vdw_radius);  // surface distance
-      t.gauss1 += std::exp(-(d / 0.5f) * (d / 0.5f));
-      const float g2 = (d - 3.0f) / 2.0f;
-      t.gauss2 += std::exp(-g2 * g2);
-      if (d < 0.0f) t.repulsion += d * d;
-      if (li.hydrophobic && pi.hydrophobic) t.hydrophobic += hydrophobic_ramp(d);
-      const bool l_donor = li.hbond_donor_heavy && la.implicit_h > 0;
-      const bool p_donor = pi.hbond_donor_heavy;
-      if ((l_donor && pi.hbond_acceptor) || (p_donor && li.hbond_acceptor)) {
-        t.hbond += hbond_ramp(d);
-      }
-      if (la.formal_charge != 0 && pa.formal_charge != 0) {
-        // Distance-dependent dielectric (epsilon = 4r), kcal/mol units.
-        t.electrostatic += 332.0f * static_cast<float>(la.formal_charge) *
-                           static_cast<float>(pa.formal_charge) / (4.0f * r * r);
-      }
+      // Distance-dependent dielectric (epsilon = 4r), kcal/mol units.
+      t.electrostatic += 332.0f * static_cast<float>(ligand.charge[i]) *
+                         static_cast<float>(pa.formal_charge) / (4.0f * r * r);
     }
   }
   return t;
 }
 
-float vina_score(const Molecule& ligand, const std::vector<Atom>& pocket, const VinaWeights& w) {
-  const TermBreakdown t = score_terms(ligand, pocket);
+TermBreakdown score_terms(const Molecule& ligand, const std::vector<Atom>& pocket) {
+  thread_local LigandTypes types;
+  thread_local PocketLanes lanes;
+  thread_local std::vector<core::Vec3> pos;
+  types.assign(ligand);
+  lanes.assign(pocket);
+  pos.resize(ligand.num_atoms());
+  for (size_t i = 0; i < pos.size(); ++i) pos[i] = ligand.atoms()[i].pos;
+  return score_terms(types, pos.data(), lanes);
+}
+
+float vina_score(const TermBreakdown& t, int rotors, const VinaWeights& w) {
   const float inter = w.gauss1 * t.gauss1 + w.gauss2 * t.gauss2 + w.repulsion * t.repulsion +
                       w.hydrophobic * t.hydrophobic + w.hbond * t.hbond;
-  const float rotors = static_cast<float>(ligand.num_rotatable_bonds());
-  return inter / (1.0f + w.rotor * rotors);
+  return inter / (1.0f + w.rotor * static_cast<float>(rotors));
+}
+
+float vina_score(const Molecule& ligand, const std::vector<Atom>& pocket, const VinaWeights& w) {
+  return vina_score(score_terms(ligand, pocket), ligand.num_rotatable_bonds(), w);
 }
 
 float score_to_pk(float score_kcal) {

@@ -6,6 +6,7 @@
 // paper's evaluation.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "chem/molecule.h"
@@ -31,9 +32,43 @@ struct TermBreakdown {
   float electrostatic = 0;
 };
 
-/// Raw pairwise term sums between ligand and pocket atoms (cutoff 8 A).
+/// Per-atom ligand invariants the score reads besides coordinates: built
+/// once per ligand and reused for every pose of a search.
+struct LigandTypes {
+  std::vector<float> vdw;  // vdW radius
+  // Lane masks: -1 where the property holds, 0 otherwise.
+  std::vector<int32_t> hydrophobic, donor, acceptor;
+  std::vector<int8_t> charge;  // formal charge
+
+  void assign(const Molecule& ligand);
+  size_t size() const { return vdw.size(); }
+};
+
+/// The pocket as 16-lane structure-of-arrays blocks, the layout the Vina
+/// terms sweep; the tail block's padding lanes carry `live` = 0. Charged
+/// atoms are also listed in pocket order for the electrostatic sum.
+struct PocketLanes {
+  static constexpr size_t kLanes = 16;
+  size_t blocks = 0;
+  std::vector<float> x, y, z, vdw;
+  std::vector<int32_t> live, hydrophobic, donor, acceptor;  // lane masks
+  std::vector<Atom> charged;
+
+  void assign(const std::vector<Atom>& pocket);
+};
+
+/// Raw pairwise term sums between ligand atoms at `pos` and the pocket
+/// (cutoff 8 A). The five Vina terms accumulate per lane (pocket atom j
+/// in lane j % 16, ligand atoms in order) through core::simd::vexp16, then
+/// the lanes are summed in lane order; the electrostatic term keeps the
+/// serial (ligand, pocket) pair order. See docs/API.md for the contract.
+TermBreakdown score_terms(const LigandTypes& ligand, const core::Vec3* pos,
+                          const PocketLanes& pocket);
+/// The same sums for a Molecule and a pocket atom list.
 TermBreakdown score_terms(const Molecule& ligand, const std::vector<Atom>& pocket);
 
+/// Vina-style total from term sums and the ligand's rotor count.
+float vina_score(const TermBreakdown& t, int rotors, const VinaWeights& w = {});
 /// Vina-style total score in kcal/mol (more negative = better binding).
 float vina_score(const Molecule& ligand, const std::vector<Atom>& pocket,
                  const VinaWeights& w = {});

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <vector>
+
 #include "chem/conformer.h"
 #include "chem/smiles.h"
 #include "data/target.h"
@@ -169,6 +174,166 @@ TEST(Docking, RespectsMaxPoses) {
   cfg.dedup_rmsd = 0.0f;  // keep everything
   DockingResult res = DockingEngine(cfg).dock(lig, pocket, {}, rng);
   EXPECT_LE(res.poses.size(), 3u);
+}
+
+// ---- score_terms: the 16-lane kernel -----------------------------------
+
+void expect_terms_bitwise(const TermBreakdown& a, const TermBreakdown& b) {
+  EXPECT_EQ(0, std::memcmp(&a, &b, sizeof(TermBreakdown)))
+      << a.gauss1 << " " << b.gauss1 << " / " << a.electrostatic << " " << b.electrostatic;
+}
+
+Molecule charged_ligand(Rng& rng) {
+  chem::MoleculeGenConfig mc;
+  mc.charge_probability = 0.4f;
+  Molecule m = chem::generate_molecule(mc, rng);
+  chem::embed_conformer(m, rng);
+  m.translate(Vec3{} - m.centroid());
+  return m;
+}
+
+std::vector<Atom> charged_pocket(Rng& rng, int n) {
+  data::PocketConfig pc;
+  pc.num_atoms = n;
+  pc.radius = 4.5f;
+  pc.charged_frac = 0.3f;
+  return data::make_pocket(pc, rng);
+}
+
+TEST(ScoreTerms, EmptyPocketScoresZero) {
+  Rng rng(11);
+  const Molecule lig = charged_ligand(rng);
+  expect_terms_bitwise(score_terms(lig, {}), TermBreakdown{});
+}
+
+TEST(ScoreTerms, AtomsBeyondCutoffLeaveEveryTermBitwiseUnchanged) {
+  // Pocket atom j sits in lane j % 16; appended atoms beyond 8 A must add
+  // exact zeros whichever lane (and tail block) they land in.
+  Rng rng(12);
+  const Molecule lig = charged_ligand(rng);
+  const std::vector<Atom> full = charged_pocket(rng, 40);
+  for (size_t n = 1; n <= full.size(); ++n) {
+    std::vector<Atom> pocket(full.begin(), full.begin() + static_cast<std::ptrdiff_t>(n));
+    const TermBreakdown base = score_terms(lig, pocket);
+    for (int extra = 0; extra < 19; ++extra) {
+      Atom far = full[static_cast<size_t>(extra) % full.size()];
+      far.pos = Vec3{30.0f + static_cast<float>(extra), -20.0f, 12.0f};
+      pocket.push_back(far);
+      expect_terms_bitwise(score_terms(lig, pocket), base);
+    }
+  }
+}
+
+TEST(ScoreTerms, WithinOneInHundredThousandOfDoubleReference) {
+  Rng rng(13);
+  for (int trial = 0; trial < 12; ++trial) {
+    const Molecule lig = charged_ligand(rng);
+    const std::vector<Atom> pocket = charged_pocket(rng, 8 + trial * 8);
+    // Double-precision std::exp reference; the cutoff decision uses the
+    // float distance so both sides sum the same pairs.
+    double ref[6] = {}, mag[6] = {};
+    for (const Atom& la : lig.atoms()) {
+      const chem::ElementInfo& li = chem::element_info(la.element);
+      for (const Atom& pa : pocket) {
+        if (la.pos.dist(pa.pos) > 8.0f) continue;
+        const chem::ElementInfo& pi = chem::element_info(pa.element);
+        const double dx = double(la.pos.x) - pa.pos.x, dy = double(la.pos.y) - pa.pos.y,
+                     dz = double(la.pos.z) - pa.pos.z;
+        const double r = std::sqrt(dx * dx + dy * dy + dz * dz);
+        const double d = r - (double(li.vdw_radius) + pi.vdw_radius);
+        double v[6] = {};
+        v[0] = std::exp(-(d / 0.5) * (d / 0.5));
+        v[1] = std::exp(-((d - 3.0) / 2.0) * ((d - 3.0) / 2.0));
+        v[2] = d < 0.0 ? d * d : 0.0;
+        if (li.hydrophobic && pi.hydrophobic) v[3] = std::clamp(1.5 - d, 0.0, 1.0);
+        const bool l_donor = li.hbond_donor_heavy && la.implicit_h > 0;
+        if ((l_donor && pi.hbond_acceptor) || (pi.hbond_donor_heavy && li.hbond_acceptor)) {
+          v[4] = std::clamp(-d / 0.7, 0.0, 1.0);
+        }
+        if (la.formal_charge != 0 && pa.formal_charge != 0) {
+          v[5] = 332.0 * la.formal_charge * pa.formal_charge / (4.0 * r * r);
+        }
+        for (int k = 0; k < 6; ++k) {
+          ref[k] += v[k];
+          mag[k] += std::abs(v[k]);
+        }
+      }
+    }
+    const TermBreakdown t = score_terms(lig, pocket);
+    const float got[6] = {t.gauss1, t.gauss2, t.repulsion, t.hydrophobic, t.hbond, t.electrostatic};
+    for (int k = 0; k < 6; ++k) {
+      EXPECT_LE(std::abs(got[k] - ref[k]), 1e-5 * mag[k]) << "trial " << trial << " term " << k;
+    }
+  }
+}
+
+// ---- DockingEngine::dock against the Pose::apply + vina_score loop ------
+
+DockingResult reference_dock(const DockingConfig& cfg, const Molecule& ligand,
+                             const std::vector<Atom>& pocket, const Vec3& site_center, Rng& rng) {
+  DockingResult out;
+  std::vector<Pose> best_per_run;
+  for (int run = 0; run < cfg.num_runs; ++run) {
+    Pose current = random_pose(rng, cfg.box_half);
+    current.score = vina_score(current.apply(ligand, site_center), pocket, cfg.weights);
+    ++out.total_evaluations;
+    Pose best = current;
+    for (int step = 0; step < cfg.steps_per_run; ++step) {
+      Pose cand = perturb(current, rng);
+      cand.translation.x = std::clamp(cand.translation.x, -cfg.box_half, cfg.box_half);
+      cand.translation.y = std::clamp(cand.translation.y, -cfg.box_half, cfg.box_half);
+      cand.translation.z = std::clamp(cand.translation.z, -cfg.box_half, cfg.box_half);
+      cand.score = vina_score(cand.apply(ligand, site_center), pocket, cfg.weights);
+      ++out.total_evaluations;
+      const float delta = cand.score - current.score;
+      if (delta < 0.0f || rng.uniform() < std::exp(-delta / cfg.temperature)) {
+        current = cand;
+        if (current.score < best.score) best = current;
+      }
+    }
+    best_per_run.push_back(best);
+  }
+  std::sort(best_per_run.begin(), best_per_run.end(),
+            [](const Pose& a, const Pose& b) { return a.score < b.score; });
+  for (const Pose& p : best_per_run) {
+    if (static_cast<int>(out.poses.size()) >= cfg.max_poses) break;
+    Molecule pm = p.apply(ligand, site_center);
+    bool dup = false;
+    for (const Molecule& accepted : out.conformers) {
+      if (chem::pose_rmsd(pm, accepted) < cfg.dedup_rmsd) dup = true;
+    }
+    if (!dup) {
+      out.poses.push_back(p);
+      out.conformers.push_back(std::move(pm));
+    }
+  }
+  return out;
+}
+
+TEST(Docking, BitwiseEqualToApplyAndVinaScoreLoop) {
+  Rng setup(14);
+  for (int trial = 0; trial < 4; ++trial) {
+    const Molecule lig = charged_ligand(setup);
+    const std::vector<Atom> pocket = charged_pocket(setup, 30 + trial * 20);
+    const Vec3 site{1.5f * static_cast<float>(trial), -2.0f, 0.5f};
+    DockingConfig cfg;
+    cfg.num_runs = 4;
+    cfg.steps_per_run = 40;
+    Rng a(100 + static_cast<uint64_t>(trial)), b(100 + static_cast<uint64_t>(trial));
+    const DockingResult got = DockingEngine(cfg).dock(lig, pocket, site, a);
+    const DockingResult want = reference_dock(cfg, lig, pocket, site, b);
+    EXPECT_EQ(got.total_evaluations, want.total_evaluations);
+    ASSERT_EQ(got.poses.size(), want.poses.size());
+    for (size_t i = 0; i < got.poses.size(); ++i) {
+      EXPECT_EQ(0, std::memcmp(&got.poses[i], &want.poses[i], sizeof(Pose))) << "pose " << i;
+      ASSERT_EQ(got.conformers[i].num_atoms(), want.conformers[i].num_atoms());
+      for (size_t k = 0; k < got.conformers[i].num_atoms(); ++k) {
+        EXPECT_EQ(0, std::memcmp(&got.conformers[i].atoms()[k].pos,
+                                 &want.conformers[i].atoms()[k].pos, sizeof(Vec3)));
+      }
+    }
+    EXPECT_EQ(a.uniform(), b.uniform());  // same number of draws
+  }
 }
 
 }  // namespace

@@ -3,7 +3,12 @@
 #include <atomic>
 #include <iterator>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
+#include "core/parallel.h"
 #include "core/rng.h"
 #include "core/threadpool.h"
 
@@ -92,10 +97,13 @@ TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {
 }
 
 TEST(ThreadPool, ParallelForCoversRange) {
+  // 1 and 2 indices: fewer than the 4 participants (3 workers + caller).
   ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(257);
-  parallel_for(pool, hits.size(), [&](size_t i) { hits[i].fetch_add(1); });
-  for (size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+  for (size_t n : {size_t{1}, size_t{2}, size_t{257}, size_t{1000}}) {
+    std::vector<std::atomic<int>> hits(n);
+    parallel_for(pool, n, [&](size_t i) { hits[i].fetch_add(1); });
+    for (size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << "n=" << n << " i=" << i;
+  }
 }
 
 TEST(ThreadPool, ParallelForEmptyRange) {
@@ -112,6 +120,91 @@ TEST(ThreadPool, ReusableAcrossWaves) {
     pool.wait_idle();
   }
   EXPECT_EQ(count.load(), 100);
+}
+
+// ---- parallel_for: per-call join with the caller participating ---------
+
+TEST(ParallelFor, CallerRunsIndicesUnderSerialScope) {
+  // A pool whose only worker is held busy: every index must then run on
+  // the caller, inside a SerialComputeScope.
+  ThreadPool pool(1);
+  std::atomic<bool> release{false};
+  pool.submit([&] {
+    while (!release.load()) std::this_thread::yield();
+  });
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> on_caller{0}, serial{0};
+  parallel_for(pool, 8, [&](size_t) {
+    if (std::this_thread::get_id() == caller) ++on_caller;
+    if (in_pool_worker()) ++serial;
+  });
+  EXPECT_EQ(on_caller.load(), 8);
+  EXPECT_EQ(serial.load(), 8);
+  EXPECT_FALSE(in_pool_worker());  // the scope ends with the call
+  release = true;
+  pool.wait_idle();
+}
+
+TEST(ParallelFor, ExceptionFromCallerRunIndexPropagates) {
+  ThreadPool pool(1);
+  std::atomic<bool> release{false};
+  pool.submit([&] {
+    while (!release.load()) std::this_thread::yield();
+  });
+  // The worker is busy, so index 3 throws on the caller.
+  EXPECT_THROW(parallel_for(pool, 5,
+                            [](size_t i) {
+                              if (i == 3) throw std::runtime_error("caller index");
+                            }),
+               std::runtime_error);
+  release = true;
+  pool.wait_idle();  // the caller's error never reaches the pool's join
+}
+
+TEST(ParallelFor, NestedAutoFromCallerDoesNotDeadlock) {
+  ThreadPool pool(2);
+  ComputePoolGuard guard(&pool);
+  std::atomic<int> inner{0};
+  parallel_for(pool, 6, [&](size_t) {
+    parallel_for_auto(16, 1, [&](size_t) { ++inner; });
+  });
+  EXPECT_EQ(inner.load(), 6 * 16);
+}
+
+TEST(ParallelFor, ConcurrentCallersGetOnlyTheirOwnException) {
+  ThreadPool pool(2);
+  for (int round = 0; round < 20; ++round) {
+    std::string seen_a, seen_b;
+    auto caller = [&pool](const char* tag, std::string& seen) {
+      try {
+        parallel_for(pool, 64, [tag](size_t i) {
+          if (i % 16 == 5) throw std::runtime_error(tag);
+        });
+      } catch (const std::runtime_error& e) {
+        seen = e.what();
+      }
+    };
+    std::thread a(caller, "a", std::ref(seen_a));
+    std::thread b(caller, "b", std::ref(seen_b));
+    a.join();
+    b.join();
+    EXPECT_EQ(seen_a, "a");
+    EXPECT_EQ(seen_b, "b");
+  }
+  pool.wait_idle();  // no stray error was left for the pool's own join
+}
+
+TEST(ParallelFor, DoesNotWaitForUnrelatedSubmittedJobs) {
+  ThreadPool pool(2);
+  std::atomic<bool> release{false};
+  pool.submit([&] {
+    while (!release.load()) std::this_thread::yield();
+  });
+  std::atomic<int> count{0};
+  parallel_for(pool, 100, [&](size_t) { ++count; });  // returns while the job spins
+  EXPECT_EQ(count.load(), 100);
+  release = true;
+  pool.wait_idle();
 }
 
 }  // namespace
