@@ -98,7 +98,7 @@ inline const float* pad_bias_col(const float* bias, int64_t n) {
 // on AVX2) without spilling.
 constexpr int64_t MR = 6;
 constexpr int64_t NR = 32;
-constexpr int64_t KC = 192;
+constexpr int64_t KC = kPanelK;
 constexpr int64_t MC = 96;    // multiple of MR
 constexpr int64_t NC = 1024;  // multiple of NR
 
@@ -614,6 +614,14 @@ void sgemm_prepacked(int64_t m, const float* A, int64_t lda, const PrepackedB& B
   sgemm_impl(false, false, m, B.n, B.k, A, lda, nullptr, B.n, C, ldc, accumulate, epilogue, pre);
 }
 
+PrepackedA PrepackedA::k_panel(int64_t p0, int64_t kc) const {
+  if (p0 % KC != 0 || kc < 0 || kc > KC || p0 + kc > k)
+    throw std::invalid_argument("PrepackedA::k_panel: not one k-panel of the image");
+  // pack_a_full lays the image out KC-panel major, round_up(m, MR) rows per
+  // unit of depth, so panel p0 is a full image of depth kc at that offset.
+  return {m, kc, panels + round_up(m, MR) * p0, raw + p0, lda > 0 ? lda : k};
+}
+
 void sgemm_prepacked(const PrepackedA& A, int64_t n, const float* B, int64_t ldb, float* C,
                      int64_t ldc, bool accumulate, const Epilogue* epilogue) {
   if (A.panels == nullptr || A.raw == nullptr || A.m < 0 || A.k < 0)
@@ -621,7 +629,8 @@ void sgemm_prepacked(const PrepackedA& A, int64_t n, const float* B, int64_t ldb
   PrepackedViews pre;
   pre.a_panels = A.panels;
   // The skinny path streams row-major A directly, so it reads A.raw.
-  sgemm_impl(false, false, A.m, n, A.k, A.raw, A.k, B, ldb, C, ldc, accumulate, epilogue, pre);
+  sgemm_impl(false, false, A.m, n, A.k, A.raw, A.lda > 0 ? A.lda : A.k, B, ldb, C, ldc,
+             accumulate, epilogue, pre);
 }
 
 void sgemm_naive(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k, const float* A,

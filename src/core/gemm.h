@@ -1,5 +1,5 @@
 // Cache-blocked, register-tiled single-precision GEMM — the one kernel every
-// dense FLOP in deepfusion (Dense, GatedGraphConv, vol2col Conv3d) lowers
+// dense FLOP in deepfusion (Dense, GatedGraphConv, implicit-GEMM Conv3d) lowers
 // onto. Row-major storage with explicit leading dimensions, BLIS-style
 // packed panels (MR x NR micro-tiles), and optional ThreadPool parallelism
 // over row panels via core::compute_thread_pool().
@@ -35,6 +35,13 @@ struct Epilogue {
   const float* bias_row = nullptr;  // length m: per-output-row (Conv3d bias)
   float leaky_slope = 0.01f;        // kLeakyReLU only
 };
+
+/// Depth of one k-panel (KC). sgemm walks k in panels of this many rows and
+/// adds each panel's product into C, running the epilogue with the last
+/// one. A caller that builds B one panel at a time (Conv3d's implicit GEMM)
+/// splits k at the same boundaries, passes accumulate = (panel > 0) and the
+/// epilogue with the last panel only, and so gets sgemm's bits on the whole B.
+inline constexpr int64_t kPanelK = 192;
 
 /// C (m x n, ldc) = op(A) * op(B), overwriting C — or accumulating into C
 /// when `accumulate` is true. When `epilogue` is non-null its bias/activation
@@ -85,12 +92,17 @@ void pack_a_full(bool trans_a, int64_t m, int64_t k, const float* A, int64_t lda
 void pack_b_full(bool trans_b, int64_t k, int64_t n, const float* B, int64_t ldb, float* out);
 
 /// Non-owning view of a pack_a_full image. `raw` must point at the
-/// row-major (m x k, lda = k) operand — the skinny-RHS path streams A
-/// unpacked, so prepacking A keeps the raw bytes reachable.
+/// row-major (m x k) operand — the skinny-RHS path streams A unpacked, so
+/// prepacking A keeps the raw bytes reachable.
 struct PrepackedA {
   int64_t m = 0, k = 0;
   const float* panels = nullptr;  // packed_a_floats(m, k) floats
-  const float* raw = nullptr;     // (m x k) row-major, leading dimension k
+  const float* raw = nullptr;     // (m x k) row-major
+  int64_t lda = 0;                // raw's leading dimension; 0 means k
+
+  /// Columns [p0, p0 + kc) of A as a view of their own: p0 a multiple of
+  /// kPanelK and kc <= kPanelK (one k-panel of the full image).
+  PrepackedA k_panel(int64_t p0, int64_t kc) const;
 };
 
 /// Non-owning view of a pack_b_full image (panels + optional skinny image).
@@ -106,7 +118,7 @@ void sgemm_prepacked(int64_t m, const float* A, int64_t lda, const PrepackedB& B
                      int64_t ldc, bool accumulate = false, const Epilogue* epilogue = nullptr);
 
 /// C (A.m x n) = A * B (A.k x n) with A prepacked — bitwise identical to
-/// sgemm(false, false, A.m, n, A.k, A.raw, A.k, B, ldb, ...) but without the
+/// sgemm(false, false, A.m, n, A.k, A.raw, lda, B, ldb, ...) but without the
 /// per-call pack_a in the blocked path.
 void sgemm_prepacked(const PrepackedA& A, int64_t n, const float* B, int64_t ldb, float* C,
                      int64_t ldc, bool accumulate = false, const Epilogue* epilogue = nullptr);

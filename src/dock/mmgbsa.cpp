@@ -47,13 +47,6 @@ void for_pocket_near(const std::vector<Atom>& pocket, const chem::CellList* cell
 // coordinates from `pos` (one Vec3 per atom), so the minimizer moves a plain
 // positions array instead of copying the Molecule.
 
-/// The MM interaction terms of one pose: LJ 6-12 and interface
-/// electrostatics, bitwise score_terms(...).electrostatic (same cutoff,
-/// same accumulation order).
-struct MmTerms {
-  float lj = 0.0f, elec = 0.0f;
-};
-
 /// Pocket atoms as coordinate, radius and charge rows padded to whole
 /// 16-lane blocks: the layout the LJ pair terms are computed over.
 struct PocketRows {
@@ -115,12 +108,21 @@ void lj_rows(const PocketRows& rows, const core::Vec3& p, float rl, const MmGbsa
   }
 }
 
-/// Both MM terms in one sweep: one gather and one distance per pair. The
+/// The MM terms in one sweep: one gather and one distance per pair. The
 /// pair values are computed 16 lanes at a time, then each term applies its
 /// own exact cutoff predicate and adds into its own accumulator serially in
-/// ascending pocket order — bitwise the scalar per-term sweeps. `cells` must
-/// be built with a cell size of at least max(lj_cutoff, kElecCutoff).
-MmTerms mm_terms(const Molecule& ligand, const core::Vec3* pos, const PocketRows& pocket,
+/// ascending pocket order — bitwise the scalar per-term sweeps. Without
+/// kElec the sweep sums LJ only (elec stays 0). `cells` must be built with a
+/// cell size of at least lj_cutoff, and at least kElecCutoff with kElec.
+/// The pair loop stays out of GCC's auto-vectorizer: without the
+/// electrostatic branch it vectorizes the LJ sum as a multiply plus an
+/// in-order add chain, which rounds each product the scalar loop fuses into
+/// its add (FMA builds). lj_rows is explicit vector code either way.
+template <bool kElec>
+#if defined(__GNUC__) && !defined(__clang__)
+[[gnu::optimize("no-tree-vectorize")]]
+#endif
+MmTerms mm_sweep(const Molecule& ligand, const core::Vec3* pos, const PocketRows& pocket,
                  const MmGbsaConfig& cfg, const chem::CellList* cells) {
   static thread_local std::vector<int32_t> cand;
   static thread_local PocketRows near;
@@ -143,7 +145,7 @@ MmTerms mm_terms(const Molecule& ligand, const core::Vec3* pos, const PocketRows
       // The well depth multiplies here, where the scalar pair term fused it
       // into the add (FMA builds), so the sums stay bitwise.
       if (!(std::max(cfg.lj_min_r, dist[k]) > cfg.lj_cutoff)) t.lj += 0.15f * lj[k];
-      if (!(dist[k] > kElecCutoff) && la.formal_charge != 0 && rows->charge[k] != 0) {
+      if (kElec && !(dist[k] > kElecCutoff) && la.formal_charge != 0 && rows->charge[k] != 0) {
         // Distance-dependent dielectric (epsilon = 4r), kcal/mol units.
         t.elec += 332.0f * static_cast<float>(la.formal_charge) *
                   static_cast<float>(rows->charge[k]) / (4.0f * dist[k] * dist[k]);
@@ -224,20 +226,29 @@ const chem::CellList* maybe_build(chem::CellList& cells, const std::vector<Atom>
   return &cells;
 }
 
-MmTerms mm_terms_of(const Molecule& ligand_pose, const std::vector<Atom>& pocket,
-                    const MmGbsaConfig& cfg) {
+/// One pose's sweep over the whole pocket, through a cell list sized for the
+/// terms it sums.
+template <bool kElec>
+MmTerms sweep_pose(const Molecule& ligand_pose, const std::vector<Atom>& pocket,
+                   const MmGbsaConfig& cfg) {
   static thread_local chem::CellList cells;
   static thread_local PocketRows rows;
   rows.assign(pocket);
-  return mm_terms(ligand_pose, positions_of(ligand_pose), rows, cfg,
-                  maybe_build(cells, pocket, cfg, std::max(cfg.lj_cutoff, kElecCutoff)));
+  const float cell_size = kElec ? std::max(cfg.lj_cutoff, kElecCutoff) : cfg.lj_cutoff;
+  return mm_sweep<kElec>(ligand_pose, positions_of(ligand_pose), rows, cfg,
+                         maybe_build(cells, pocket, cfg, cell_size));
 }
 
 }  // namespace
 
+MmTerms mm_terms(const Molecule& ligand_pose, const std::vector<Atom>& pocket,
+                 const MmGbsaConfig& cfg) {
+  return sweep_pose<true>(ligand_pose, pocket, cfg);
+}
+
 float lj_energy(const Molecule& ligand_pose, const std::vector<Atom>& pocket,
                 const MmGbsaConfig& cfg) {
-  return mm_terms_of(ligand_pose, pocket, cfg).lj;
+  return sweep_pose<false>(ligand_pose, pocket, cfg).lj;
 }
 
 float gb_polar(const Molecule& ligand_pose, const std::vector<Atom>& pocket,
@@ -259,7 +270,7 @@ float sa_nonpolar(const Molecule& ligand_pose, const std::vector<Atom>& pocket,
 
 float elec_energy(const Molecule& ligand_pose, const std::vector<Atom>& pocket,
                   const MmGbsaConfig& cfg) {
-  return mm_terms_of(ligand_pose, pocket, cfg).elec;
+  return mm_terms(ligand_pose, pocket, cfg).elec;
 }
 
 float mmgbsa_score(const Molecule& ligand_pose, const std::vector<Atom>& pocket,
@@ -287,7 +298,7 @@ float mmgbsa_score(const Molecule& ligand_pose, const std::vector<Atom>& pocket,
   probe.resize(pos.size());
   for (size_t i = 0; i < pos.size(); ++i) pos[i] = ligand_pose.atoms()[i].pos;
   auto mm_energy = [&](const std::vector<core::Vec3>& at) {
-    const MmTerms t = mm_terms(ligand_pose, at.data(), rows, cfg, cells);
+    const MmTerms t = mm_sweep<true>(ligand_pose, at.data(), rows, cfg, cells);
     return t.lj + t.elec;
   };
   const float h = 0.05f;

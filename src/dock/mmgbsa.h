@@ -52,7 +52,16 @@ struct MmGbsaConfig {
   int32_t cell_list_min_atoms = 2048;
 };
 
-/// Lennard-Jones 6-12 between ligand and pocket (kcal/mol, eps=0.15).
+/// The MM interaction terms of one pose from one fused pair sweep: LJ 6-12
+/// and interface electrostatics (the MM-GBSA minimizer's objective).
+struct MmTerms {
+  float lj = 0.0f, elec = 0.0f;
+};
+MmTerms mm_terms(const Molecule& ligand_pose, const std::vector<Atom>& pocket,
+                 const MmGbsaConfig& cfg = {});
+
+/// Lennard-Jones 6-12 between ligand and pocket (kcal/mol, eps=0.15): an
+/// LJ-only sweep, bitwise mm_terms(...).lj.
 float lj_energy(const Molecule& ligand_pose, const std::vector<Atom>& pocket,
                 const MmGbsaConfig& cfg = {});
 /// Generalized-Born polar solvation change on binding (Still-style pairwise
@@ -64,7 +73,7 @@ float sa_nonpolar(const Molecule& ligand_pose, const std::vector<Atom>& pocket,
                   const MmGbsaConfig& cfg = {});
 /// Interface electrostatics, bitwise identical to
 /// score_terms(...).electrostatic (same 8 A cutoff, same accumulation
-/// order). Computed by the same pair sweep as lj_energy.
+/// order): mm_terms(...).elec.
 float elec_energy(const Molecule& ligand_pose, const std::vector<Atom>& pocket,
                   const MmGbsaConfig& cfg = {});
 

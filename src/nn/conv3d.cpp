@@ -10,6 +10,10 @@
 #include "core/gemm.h"
 #include "core/parallel.h"
 
+#if defined(__AVX512F__)
+#include <immintrin.h>
+#endif
+
 namespace df::nn {
 
 namespace {
@@ -33,14 +37,16 @@ AxisRange valid_range(int64_t in_size, int64_t out_size, int64_t stride, int64_t
   return {lo, hi};
 }
 
-// Lower one sample (cin, D, H, W) to cols (cin*k^3, Do*Ho*Wo). Rows touched
-// by padding are zero-filled up front; the interior is copied with
-// contiguous (stride 1) or strided row loops, no per-element bounds checks.
-// `ldcols` strides between rows so several samples can share one wide
-// column matrix ((K, B*N) with sample b at column offset b*N).
+}  // namespace
+
+// Rows touched by padding are zero-filled up front; the interior is copied
+// with contiguous (stride 1) or strided row loops, no per-element bounds
+// checks.
 void vol2col(const float* x, int64_t cin, int64_t D, int64_t H, int64_t W, int64_t k,
-             int64_t stride, int64_t pad, int64_t Do, int64_t Ho, int64_t Wo, float* cols,
-             int64_t ldcols) {
+             int64_t stride, int64_t pad, float* cols, int64_t ldcols) {
+  const int64_t Do = Conv3d::out_size(D, k, stride, pad);
+  const int64_t Ho = Conv3d::out_size(H, k, stride, pad);
+  const int64_t Wo = Conv3d::out_size(W, k, stride, pad);
   for (int64_t ci = 0; ci < cin; ++ci) {
     const float* xc = x + ci * D * H * W;
     for (int64_t kz = 0; kz < k; ++kz) {
@@ -89,6 +95,12 @@ void vol2col(const float* x, int64_t cin, int64_t D, int64_t H, int64_t W, int64
     }
   }
 }
+
+namespace {
+
+// Column budget of one grouped forward GEMM: output volumes of at most half
+// this many columns share a GEMM with further samples (see forward_act).
+constexpr int64_t kGroupColumns = 64;
 
 // Scatter-add cols-shaped gradients back into one sample's input gradient.
 // Mirrors vol2col's interior ranges; border columns map into padding and
@@ -139,67 +151,157 @@ Conv3d::Conv3d(int64_t in_channels, int64_t out_channels, int64_t kernel, core::
 
 Tensor Conv3d::forward(const Tensor& x) { return forward_act(x, core::EpilogueAct::kNone); }
 
-void Conv3d::build_plan(int64_t D, int64_t H, int64_t W, int64_t Do, int64_t Ho, int64_t Wo) {
-  plan_.D = D;
-  plan_.H = H;
-  plan_.W = W;
-  plan_.copies.clear();
-  plan_.strided.clear();
-  plan_.zeros.clear();
-  const int64_t N = Do * Ho * Wo;
-  auto zero = [&](int64_t dst, int64_t len) {
-    if (!plan_.zeros.empty() && plan_.zeros.back().dst + plan_.zeros.back().len == dst) {
-      plan_.zeros.back().len += len;
-    } else {
-      plan_.zeros.push_back({dst, len});
-    }
+// Rows [r0, r0 + rows) of the column matrix of the sample at xs, into dst
+// (leading dimension ldd): per row, the N columns its tap's chunks describe,
+// read from its channel's grid — the values and +0 padding vol2col writes,
+// 16 columns at a time.
+template <int kParts>
+void Conv3d::fill_rows_as(const float* xs, int64_t r0, int64_t rows, float* dst,
+                          int64_t ldd) const {
+  const int64_t n = gather_.N;
+  const int64_t chan_in = gather_.D * gather_.H * gather_.W;
+  const int64_t taps = k_ * k_ * k_;
+  const GatherChunk* const table = gather_.rows.data();
+  const GatherChunk* const table_end = table + taps * gather_.chunks;
+  const float* src = xs + (r0 / taps) * chan_in;
+  const GatherChunk* c = table + (r0 % taps) * gather_.chunks;
+  constexpr int kWidth = 16 / kParts;
+#if defined(__AVX512F__)
+  const auto lanes_below = [](int64_t v) {
+    return static_cast<__mmask16>(v >= 16 ? 0xffff : v <= 0 ? 0 : (1u << v) - 1u);
   };
-  auto copy = [&](int64_t dst, int64_t src, int64_t len) {
-    if (!plan_.copies.empty() && plan_.copies.back().dst + plan_.copies.back().len == dst &&
-        plan_.copies.back().src + plan_.copies.back().len == src) {
-      plan_.copies.back().len += len;
-    } else {
-      plan_.copies.push_back({dst, src, len});
-    }
-  };
-  for (int64_t kz = 0; kz < k_; ++kz) {
-    const AxisRange rz = valid_range(D, Do, stride_, pad_, kz);
-    for (int64_t ky = 0; ky < k_; ++ky) {
-      const AxisRange ry = valid_range(H, Ho, stride_, pad_, ky);
-      for (int64_t kx = 0; kx < k_; ++kx) {
-        const AxisRange rx = valid_range(W, Wo, stride_, pad_, kx);
-        const int64_t row = ((kz * k_ + ky) * k_ + kx) * N;
-        const int64_t nx = rx.hi - rx.lo;
-        if (nx <= 0) {
-          zero(row, N);
-          continue;
-        }
-        for (int64_t zo = 0; zo < Do; ++zo) {
-          const int64_t prow = row + zo * Ho * Wo;
-          if (zo < rz.lo || zo >= rz.hi) {
-            zero(prow, Ho * Wo);
-            continue;
-          }
-          const int64_t z = zo * stride_ - pad_ + kz;
-          for (int64_t yo = 0; yo < Ho; ++yo) {
-            const int64_t dst0 = prow + yo * Wo;
-            if (yo < ry.lo || yo >= ry.hi) {
-              zero(dst0, Wo);
-              continue;
-            }
-            const int64_t y = yo * stride_ - pad_ + ky;
-            if (rx.lo > 0) zero(dst0, rx.lo);
-            const int64_t src = (z * H + y) * W + (rx.lo * stride_ - pad_ + kx);
-            if (stride_ == 1) {
-              copy(dst0 + rx.lo, src, nx);
-            } else {
-              plan_.strided.push_back({dst0 + rx.lo, src, nx});
-            }
-            if (rx.hi < Wo) zero(dst0 + rx.hi, Wo - rx.hi);
-          }
+  const __mmask16 load_lo = lanes_below(chan_in), load_hi = lanes_below(chan_in - 16);
+  const auto tail = static_cast<__mmask16>((1u << (n % 16)) - 1u);
+#endif
+  for (int64_t r = 0; r < rows; ++r, dst += ldd) {
+    for (int64_t j = 0; j < n; j += 16, ++c) {
+#if defined(__AVX512F__)
+      __m512 v;
+      if (c->wide >= 0) {
+        const __m512i at = _mm512_loadu_si512(gather_.wide.data() + c->wide);
+        v = _mm512_mask_i32gather_ps(_mm512_setzero_ps(), c->live, at, src, 4);
+      } else {
+        // (The maskz form of the widening load sidesteps GCC 12's spurious
+        // -Wmaybe-uninitialized on the unmasked intrinsic.)
+        const __m512i rel = _mm512_maskz_cvtepu8_epi32(
+            0xffff, _mm_loadu_si128(reinterpret_cast<const __m128i*>(c->rel)));
+        v = _mm512_setzero_ps();
+        for (int p = 0; p < kParts; ++p) {
+          const auto take =
+              static_cast<__mmask16>(c->live & (((1u << kWidth) - 1u) << (p * kWidth)));
+          const __m512 lo = _mm512_maskz_loadu_ps(load_lo, src + c->base[p]);
+          const __m512 hi = _mm512_maskz_loadu_ps(load_hi, src + c->base[p] + 16);
+          v = _mm512_mask_mov_ps(v, take, _mm512_permutex2var_ps(lo, rel, hi));
         }
       }
+      if (n - j >= 16) {
+        _mm512_storeu_ps(dst + j, v);
+      } else {
+        _mm512_mask_storeu_ps(dst + j, tail, v);
+      }
+#else
+      for (int64_t l = 0; l < std::min<int64_t>(16, n - j); ++l) {
+        const int64_t at = c->wide >= 0 ? gather_.wide[static_cast<size_t>(c->wide + l)]
+                                        : c->base[l / kWidth] + c->rel[l];
+        dst[j + l] = (c->live >> l) & 1u ? src[at] : 0.0f;
+      }
+#endif
     }
+    if (c == table_end) {
+      c = table;
+      src += chan_in;
+    }
+  }
+}
+
+void Conv3d::build_gather(int64_t D, int64_t H, int64_t W) {
+  const int64_t chan_in = D * H * W;
+  if (chan_in > std::numeric_limits<int32_t>::max()) {
+    throw std::invalid_argument("Conv3d: input grid too large for the gather table");
+  }
+  const int64_t Do = out_size(D, k_, stride_, pad_);
+  const int64_t Ho = out_size(H, k_, stride_, pad_);
+  const int64_t Wo = out_size(W, k_, stride_, pad_);
+  const int64_t N = Do * Ho * Wo;
+  gather_.D = D;
+  gather_.H = H;
+  gather_.W = W;
+  gather_.N = N;
+  gather_.chunks = (N + 15) / 16;
+  // Offset of the voxel every (tap, column) reads, -1 for the padding (and
+  // for the columns past N that round the rows up to whole chunks).
+  const int64_t taps = k_ * k_ * k_, row_len = gather_.chunks * 16;
+  std::vector<int64_t> src(static_cast<size_t>(taps * row_len), -1);
+  for (int64_t kz = 0, t = 0; kz < k_; ++kz)
+    for (int64_t ky = 0; ky < k_; ++ky)
+      for (int64_t kx = 0; kx < k_; ++kx, ++t)
+        for (int64_t zo = 0, j = t * row_len; zo < Do; ++zo) {
+          const int64_t z = zo * stride_ - pad_ + kz;
+          for (int64_t yo = 0; yo < Ho; ++yo) {
+            const int64_t y = yo * stride_ - pad_ + ky;
+            for (int64_t xo = 0; xo < Wo; ++xo, ++j) {
+              const int64_t x = xo * stride_ - pad_ + kx;
+              if (z >= 0 && z < D && y >= 0 && y < H && x >= 0 && x < W)
+                src[static_cast<size_t>(j)] = (z * H + y) * W + x;
+            }
+          }
+        }
+  // The start of a 32-voxel window holding the live voxels of `width`
+  // lanes, or -1 when they span more. Windows near the grid's end shift back
+  // inside it, so the two loads never leave the channel; grids of at most
+  // 32 voxels start every window at 0 (the loads are masked to the grid).
+  auto window = [&](const int64_t* s, int64_t width) -> int64_t {
+    int64_t lo = chan_in, hi = -1;
+    for (int64_t l = 0; l < width; ++l) {
+      if (s[l] < 0) continue;
+      lo = std::min(lo, s[l]);
+      hi = std::max(hi, s[l]);
+    }
+    const int64_t base = hi < 0 || chan_in <= 32 ? 0 : std::min(lo, chan_in - 32);
+    return hi - base < 32 ? base : -1;
+  };
+  // One part count for the whole table keeps the fill loop's trip count
+  // fixed (a per-chunk count mispredicts): the fewest parts every chunk
+  // fits, else 4 with a gather for the chunks that still do not.
+  const int64_t n_chunks = taps * gather_.chunks;
+  auto all_fit = [&](int64_t parts) {
+    for (int64_t ci = 0; ci < n_chunks; ++ci)
+      for (int64_t p = 0; p < parts; ++p)
+        if (window(src.data() + ci * 16 + p * (16 / parts), 16 / parts) < 0) return false;
+    return true;
+  };
+  gather_.parts = all_fit(1) ? 1 : all_fit(2) ? 2 : 4;
+  const int64_t width = 16 / gather_.parts;
+  gather_.rows.assign(static_cast<size_t>(n_chunks), GatherChunk{});
+  gather_.wide.clear();
+  for (int64_t ci = 0; ci < n_chunks; ++ci) {
+    GatherChunk& c = gather_.rows[static_cast<size_t>(ci)];
+    const int64_t* s = src.data() + ci * 16;
+    for (int l = 0; l < 16; ++l)
+      if (s[l] >= 0) c.live = static_cast<uint16_t>(c.live | (1u << l));
+    bool fits = true;
+    for (int64_t p = 0; p < gather_.parts; ++p) {
+      const int64_t base = window(s + p * width, width);
+      fits = fits && base >= 0;
+      c.base[p] = static_cast<int32_t>(base);
+    }
+    if (fits) {
+      for (int l = 0; l < 16; ++l)
+        c.rel[l] = static_cast<uint8_t>(s[l] < 0 ? 0 : s[l] - c.base[l / width]);
+    } else {
+      c.wide = static_cast<int32_t>(gather_.wide.size());
+      for (int l = 0; l < 16; ++l)
+        gather_.wide.push_back(static_cast<int32_t>(std::max<int64_t>(s[l], 0)));
+    }
+  }
+}
+
+void Conv3d::fill_rows(const float* xs, int64_t r0, int64_t rows, float* dst,
+                       int64_t ldd) const {
+  switch (gather_.parts) {
+    case 1: fill_rows_as<1>(xs, r0, rows, dst, ldd); break;
+    case 2: fill_rows_as<2>(xs, r0, rows, dst, ldd); break;
+    default: fill_rows_as<4>(xs, r0, rows, dst, ldd); break;
   }
 }
 
@@ -230,70 +332,28 @@ Tensor Conv3d::forward_act(const Tensor& x, core::EpilogueAct act, float leaky_s
   ep.bias_row = b_.value.data();
   ep.leaky_slope = leaky_slope;
 
-  // One plan replay + one gemm per sample; samples fan out over the compute
-  // pool (sgemm detects it runs on a worker and stays serial inside, and
-  // workers only read the shared plan). The per-sample column matrix stays
-  // cache-resident across samples — lowering the whole batch into one wide
-  // (K, B*N) GEMM was measured 2.6x slower here because the column matrix
-  // then streams through DRAM.
-  if (plan_.D != D || plan_.H != H || plan_.W != W) build_plan(D, H, W, Do, Ho, Wo);
-  const ColsPlan& plan = plan_;
+  // Implicit GEMM: each sample's product runs one kPanelK-deep panel of its
+  // column matrix at a time, and the panel is gathered straight from the
+  // grid into a per-thread buffer that stays cache-resident — the column
+  // matrix itself is never written. The panel split, the accumulate flag
+  // and the last-panel epilogue are sgemm's own, so the output is bitwise
+  // vol2col + sgemm. Samples fan out over the compute pool (sgemm detects it
+  // runs on a worker and stays serial inside; workers only read the table).
+  if (gather_.D != D || gather_.H != H || gather_.W != W) build_gather(D, H, W);
   const int64_t chan_in = D * H * W;
-  const int64_t chan_cols = k_ * k_ * k_ * N;
-  core::parallel_for_auto(static_cast<size_t>(B), 2, [&](size_t bi) {
-    const int64_t b = static_cast<int64_t>(bi);
-    static thread_local std::vector<float> cols;
-    cols.resize(static_cast<size_t>(K * N));
-    for (int64_t ci = 0; ci < cin_; ++ci) {
-      const float* xs = in + b * cin_ * chan_in + ci * chan_in;
-      float* cd = cols.data() + ci * chan_cols;
-      for (const ColsPlan::ZeroSpan& zs : plan.zeros)
-        std::memset(cd + zs.dst, 0, static_cast<size_t>(zs.len) * sizeof(float));
-      for (const ColsPlan::Span& cs : plan.copies)
-        std::memcpy(cd + cs.dst, xs + cs.src, static_cast<size_t>(cs.len) * sizeof(float));
-#if defined(DF_SIMD_MATH_VECTOR)
-      if (stride_ == 2) {
-        // Stride-2 gather = even lanes of one contiguous load (the trailing
-        // over-read lands in the allocation slack every tensor reserves).
-        typedef float v8f __attribute__((vector_size(32), aligned(4)));
-        for (const ColsPlan::StridedSpan& ss : plan.strided) {
-          core::simd::vf16 v;
-          std::memcpy(&v, xs + ss.src, sizeof(v));
-          const v8f even = __builtin_shufflevector(v, v, 0, 2, 4, 6, 8, 10, 12, 14);
-          if (ss.n > 8 && ss.n <= 16) {
-            core::simd::vf16 v2;
-            std::memcpy(&v2, xs + ss.src + 16, sizeof(v2));
-            const v8f even2 = __builtin_shufflevector(v2, v2, 0, 2, 4, 6, 8, 10, 12, 14);
-            std::memcpy(cd + ss.dst, &even, sizeof(even));
-            std::memcpy(cd + ss.dst + 8, &even2,
-                        static_cast<size_t>(ss.n - 8) * sizeof(float));
-          } else if (ss.n <= 8) {
-            std::memcpy(cd + ss.dst, &even, static_cast<size_t>(ss.n) * sizeof(float));
-          } else {
-            float* dst = cd + ss.dst;
-            const float* src = xs + ss.src;
-            for (int64_t j = 0; j < ss.n; ++j) dst[j] = src[j * 2];
-          }
-        }
-      } else
-#endif
-      {
-        for (const ColsPlan::StridedSpan& ss : plan.strided) {
-          float* dst = cd + ss.dst;
-          const float* src = xs + ss.src;
-          for (int64_t j = 0; j < ss.n; ++j) dst[j] = src[j * stride_];
-        }
-      }
-    }
-    float* ob = o + b * cout_ * N;
-    if (!training_ && quant_ != nullptr) {
-      // Int8 path: quantize this sample's column matrix to packed s8 panels
-      // (the GEMM's B operand) against the prequantized u8 weight image.
-      // The compensation vector depends on the quantized columns, so it is
-      // produced here per call, unlike Dense's static weight-side comp.
-      const QuantizedConv& q = *quant_;
+  if (!training_ && quant_ != nullptr) {
+    // Int8 path: quantize each sample's whole column matrix to packed s8
+    // panels (the GEMM's B operand) against the prequantized u8 weight
+    // image. The compensation vector depends on the quantized columns, so
+    // it is produced here per call, unlike Dense's static weight-side comp.
+    const QuantizedConv& q = *quant_;
+    core::parallel_for_auto(static_cast<size_t>(B), 2, [&](size_t bi) {
+      const int64_t b = static_cast<int64_t>(bi);
+      static thread_local std::vector<float> cols;
       static thread_local std::vector<int8_t> colsq;
       static thread_local std::vector<int32_t> comp;
+      cols.resize(static_cast<size_t>(K * N));
+      fill_rows(in + b * cin_ * chan_in, 0, K, cols.data(), N);
       colsq.resize(static_cast<size_t>(core::packed_b_bytes_s8(K, N)));
       comp.resize(static_cast<size_t>(N));
       core::pack_quantize_b_s8(K, N, cols.data(), N, /*inv_scale_col=*/nullptr,
@@ -305,12 +365,50 @@ Tensor Conv3d::forward_act(const Tensor& x, core::EpilogueAct act, float leaky_s
       qep.bias_row = b_.value.data();
       qep.comp_col = comp.data();
       const int64_t k4 = (K + 3) & ~int64_t{3};
-      core::gemm_u8s8f32(cout_, N, K, q.wu8, k4, colsq.data(), ob, N, qep);
-    } else if (!training_ && pa_.panels != nullptr) {
-      core::sgemm_prepacked(pa_, N, cols.data(), N, ob, N, /*accumulate=*/false, &ep);
-    } else {
-      core::sgemm(false, false, cout_, N, K, w, K, cols.data(), N, ob, N, /*accumulate=*/false,
-                  &ep);
+      core::gemm_u8s8f32(cout_, N, K, q.wu8, k4, colsq.data(), o + b * cout_ * N, N, qep);
+    });
+    return out;
+  }
+
+  // Small output volumes put `group` samples side by side in one GEMM
+  // (sample s at column offset s*N), so the kernel fills its 16-lane
+  // vectors; the product lands in a per-thread buffer and is copied out per
+  // sample. Columns never interact, so grouping leaves every bit alone.
+  const int64_t group = std::clamp<int64_t>(kGroupColumns / N, 1, B);
+  const int64_t groups = (B + group - 1) / group;
+  const bool prepacked = !training_ && pa_.panels != nullptr;
+  core::parallel_for_auto(static_cast<size_t>(groups), 2, [&](size_t gi) {
+    const int64_t b0 = static_cast<int64_t>(gi) * group;
+    const int64_t S = std::min(group, B - b0);
+    const int64_t n = S * N;
+    // The panel starts on a cache line: the skinny kernel streams its rows
+    // in place, and rows that straddle lines cost every load twice.
+    static thread_local std::vector<float> panel_buf, grouped;
+    panel_buf.resize(static_cast<size_t>(std::min(K, core::kPanelK) * n + 16));
+    float* const panel = reinterpret_cast<float*>(
+        (reinterpret_cast<uintptr_t>(panel_buf.data()) + 63) & ~uintptr_t{63});
+    float* c = o + b0 * cout_ * N;
+    if (S > 1) {
+      grouped.resize(static_cast<size_t>(cout_ * n));
+      c = grouped.data();
+    }
+    for (int64_t pc = 0; pc < K; pc += core::kPanelK) {
+      const int64_t kc = std::min(core::kPanelK, K - pc);
+      for (int64_t s = 0; s < S; ++s) {
+        fill_rows(in + (b0 + s) * cin_ * chan_in, pc, kc, panel + s * N, n);
+      }
+      const core::Epilogue* pep = pc + kc >= K ? &ep : nullptr;
+      if (prepacked) {
+        core::sgemm_prepacked(pa_.k_panel(pc, kc), n, panel, n, c, n, pc > 0, pep);
+      } else {
+        core::sgemm(false, false, cout_, n, kc, w + pc, K, panel, n, c, n, pc > 0, pep);
+      }
+    }
+    if (S > 1) {
+      for (int64_t s = 0; s < S; ++s)
+        for (int64_t co = 0; co < cout_; ++co)
+          std::memcpy(o + ((b0 + s) * cout_ + co) * N, c + co * n + s * N,
+                      static_cast<size_t>(N) * sizeof(float));
     }
   });
   return out;
@@ -345,9 +443,7 @@ void Conv3d::attach_quantized_views(float act_scale, const uint8_t* wu8, const f
 }
 
 void Conv3d::warm_plan(int64_t D, int64_t H, int64_t W) {
-  if (plan_.D == D && plan_.H == H && plan_.W == W) return;
-  build_plan(D, H, W, out_size(D, k_, stride_, pad_), out_size(H, k_, stride_, pad_),
-             out_size(W, k_, stride_, pad_));
+  if (gather_.D != D || gather_.H != H || gather_.W != W) build_gather(D, H, W);
 }
 
 Tensor Conv3d::backward(const Tensor& grad_out) {
@@ -378,8 +474,7 @@ Tensor Conv3d::backward(const Tensor& grad_out) {
       for (int64_t j = 0; j < N; ++j) acc += row[j];
       gb[co] += acc;
     }
-    vol2col(in + b * cin_ * D * H * W, cin_, D, H, W, k_, stride_, pad_, Do, Ho, Wo, cols.data(),
-            N);
+    vol2col(in + b * cin_ * D * H * W, cin_, D, H, W, k_, stride_, pad_, cols.data(), N);
     // dW (cout,K) += gOut (cout,N) x cols^T (N,K)
     core::sgemm(false, true, cout_, K, N, gbatch, N, cols.data(), N, gw, K, /*accumulate=*/true);
     // dCols (K,N) = W^T (K,cout) x gOut (cout,N), scattered back to dInput.
@@ -505,11 +600,19 @@ Tensor conv3d_backward_naive(const Tensor& x, const Tensor& w, const Tensor& gra
 
 Tensor MaxPool3d::forward(const Tensor& x) {
   if (x.ndim() != 5) throw std::invalid_argument("MaxPool3d: expected 5-D, got " + x.shape_str());
-  in_shape_ = x.shape();
   const int64_t B = x.dim(0), C = x.dim(1), D = x.dim(2), H = x.dim(3), W = x.dim(4);
   const int64_t Do = (D - k_) / stride_ + 1, Ho = (H - k_) / stride_ + 1, Wo = (W - k_) / stride_ + 1;
-  Tensor out({B, C, Do, Ho, Wo});
-  argmax_.assign(static_cast<size_t>(out.numel()), 0);
+  // Every output element is written below. Only a training backward reads
+  // the argmax indices, so eval forwards skip them.
+  Tensor out = Tensor::uninit({B, C, Do, Ho, Wo});
+  int64_t* argmax = nullptr;
+  if (training_) {
+    in_shape_ = x.shape();
+    argmax_.resize(static_cast<size_t>(out.numel()));
+    argmax = argmax_.data();
+  } else {
+    argmax_.clear();
+  }
 
   const float* in = x.data();
   float* o = out.data();
@@ -536,13 +639,16 @@ Tensor MaxPool3d::forward(const Tensor& x) {
                 }
               }
           o[oi] = best;
-          argmax_[static_cast<size_t>(oi)] = besti;
+          if (argmax != nullptr) argmax[oi] = besti;
         }
   });
   return out;
 }
 
 Tensor MaxPool3d::backward(const Tensor& grad_out) {
+  if (argmax_.empty() || static_cast<int64_t>(argmax_.size()) != grad_out.numel()) {
+    throw std::runtime_error("MaxPool3d::backward without a matching training forward");
+  }
   Tensor grad_in(in_shape_);
   for (int64_t i = 0; i < grad_out.numel(); ++i)
     grad_in[argmax_[static_cast<size_t>(i)]] += grad_out[i];

@@ -1,11 +1,14 @@
 // 3-D convolution and max-pooling over voxelized protein–ligand complexes.
 // Input layout is (batch, channels, depth, height, width), matching the
-// voxelizer's output. Conv3d lowers each sample to a (cin*k³, Do*Ho*Wo)
-// column matrix (vol2col) whose padded border is zero-filled up front and
-// whose interior is copied with branch-free row loops, then runs a single
-// blocked sgemm per sample; backward reverses the lowering (col2vol).
-// The original direct 7-loop implementation is retained below as the
-// equivalence reference for tests and the speedup benchmark.
+// voxelizer's output. Conv3d's forward is an implicit GEMM: per sample, the
+// (cout x cin*k³) weight multiplies the (cin*k³ x Do*Ho*Wo) column matrix,
+// but that matrix is never written whole — each kPanelK-deep panel of it is
+// gathered straight from the grid through a per-geometry gather table and
+// multiplied while it is cache-hot, with core::sgemm's own panel split, so
+// the output is bitwise vol2col + sgemm. Backward lowers through
+// vol2col and scatters back through col2vol. The direct 7-loop
+// implementation is retained below as the equivalence reference for tests
+// and the speedup benchmark.
 #pragma once
 
 #include <memory>
@@ -72,7 +75,8 @@ class Conv3d : public Module {
   bool prepacked() const { return pa_.panels != nullptr; }
 
   // -- int8 quantized execution (src/quant/) ------------------------------
-  // Eval forwards quantize each sample's column matrix to int8 panels and
+  // Eval forwards gather each sample's whole column matrix (the same row
+  // builder as the fp32 panels), quantize it to int8 panels and
   // run the int8 GEMM against the prequantized u8 weight image. Takes
   // priority over the fp32 prepacked path; training stays fp32.
 
@@ -91,39 +95,48 @@ class Conv3d : public Module {
   /// observer before computing. Not used in training mode.
   void set_observer(ActivationObserver* obs) { observer_ = obs; }
 
-  /// Build the vol2col copy plan for a (D, H, W) input ahead of the first
-  /// forward, so a compiled replica's first score pays no plan construction.
+  /// Build the gather table for a (D, H, W) input ahead of the first
+  /// forward, so a compiled replica's first score pays no table build.
   void warm_plan(int64_t D, int64_t H, int64_t W);
 
  private:
-  // Replayable vol2col plan for one input channel: the (source, column)
-  // copy/zero spans depend only on geometry, so they are computed once per
-  // input shape, merged into maximal contiguous runs, and replayed for
-  // every (sample, channel) with plain offsets — the nested loops and range
-  // clipping run once instead of per call. Replica state (the layer is
-  // single-threaded per replica; pool workers only read it).
-  struct ColsPlan {
-    int64_t D = -1, H = -1, W = -1;            // geometry the plan was built for
-    struct Span {
-      int64_t dst, src, len;                   // contiguous copy (stride 1)
-    };
-    struct StridedSpan {
-      int64_t dst, src, n;                     // n elements, src stride = stride_
-    };
-    struct ZeroSpan {
-      int64_t dst, len;
-    };
-    std::vector<Span> copies;
-    std::vector<StridedSpan> strided;
-    std::vector<ZeroSpan> zeros;
+  // Gather table of one input geometry. Column j of row r of a sample's
+  // column matrix reads channel r / k^3 through tap t = r % k^3: one voxel
+  // of that channel's grid, or the zero padding. Each tap row is cut into
+  // 16-column chunks; lane l of a chunk is +0 unless its `live` bit is set.
+  // A chunk's lanes split into `parts` (1, 2 or 4, one count per table)
+  // equal parts whose live voxels each lie in one 32-voxel window from
+  // base[p], so part p is two vector loads and one permute by rel (< 32)
+  // instead of a 16-lane gather. A chunk whose windows do not fit is
+  // gathered: its absolute offsets are the 16 ints of `wide` from index
+  // `wide` (-1 for a windowed chunk). Compact on purpose: the fill streams
+  // the table once per channel. Replica state: built on the calling thread,
+  // only read by pool workers.
+  struct GatherChunk {
+    uint8_t rel[16];
+    int32_t base[4];
+    int32_t wide = -1;
+    uint16_t live = 0;
   };
-  void build_plan(int64_t D, int64_t H, int64_t W, int64_t Do, int64_t Ho, int64_t Wo);
+  struct GatherTable {
+    int64_t D = -1, H = -1, W = -1, N = 0;
+    int64_t chunks = 0;             // per tap row: ceil(N / 16)
+    int64_t parts = 1;
+    std::vector<GatherChunk> rows;  // (k^3, chunks)
+    std::vector<int32_t> wide;      // absolute offsets of the gathered chunks
+  };
+  void build_gather(int64_t D, int64_t H, int64_t W);
+  /// Rows [r0, r0 + rows) of sample `xs`'s column matrix into dst (leading
+  /// dimension ldd), straight from the grid.
+  void fill_rows(const float* xs, int64_t r0, int64_t rows, float* dst, int64_t ldd) const;
+  template <int kParts>
+  void fill_rows_as(const float* xs, int64_t r0, int64_t rows, float* dst, int64_t ldd) const;
 
   int64_t cin_, cout_, k_, stride_, pad_;
   Parameter w_;  // (cout, cin, k, k, k)
   Parameter b_;  // (cout)
   Tensor cached_input_;
-  ColsPlan plan_;
+  GatherTable gather_;
   std::vector<float> packed_own_;
   core::PrepackedA pa_;
   std::unique_ptr<QuantizedConv> quant_;
@@ -139,9 +152,17 @@ class MaxPool3d : public Module {
 
  private:
   int64_t k_, stride_;
-  std::vector<int64_t> argmax_;  // flat input index per output element
+  std::vector<int64_t> argmax_;  // flat input index per output element (training only)
   std::vector<int64_t> in_shape_;
 };
+
+/// Lower one sample (cin, D, H, W) to its (cin*k^3, Do*Ho*Wo) column matrix:
+/// row (ci*k + kz)*k^2 + ky*k + kx holds the voxels that tap reads of channel
+/// ci for every output position, +0 where it reads the padding. `ldcols`
+/// strides between rows. Backward lowers through it; it is also the oracle
+/// the forward's implicit GEMM is pinned against (vol2col + core::sgemm).
+void vol2col(const float* x, int64_t cin, int64_t D, int64_t H, int64_t W, int64_t k,
+             int64_t stride, int64_t pad, float* cols, int64_t ldcols);
 
 /// Direct 7-loop reference convolution (the pre-vol2col implementation).
 /// Retained for equivalence tests and the speedup benchmark only — model

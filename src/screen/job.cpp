@@ -88,12 +88,14 @@ JobReport FusionScoringJob::run(const std::vector<PoseWorkItem>& items,
     out.pred = std::move(resp.scores);
   };
   if (cfg_.pool != nullptr) {
-    // Shared pool: rank clients become pool jobs; a rank that throws
-    // surfaces at the wait_idle join instead of taking the process down.
-    // Ranks block on service futures, but service workers are independent
-    // threads, so a full pool still makes progress.
-    for (int r = 0; r < ranks; ++r) cfg_.pool->submit([&run_rank, r] { run_rank(r); });
-    cfg_.pool->wait_idle();
+    // Shared pool: rank clients run through a caller-joined parallel_for,
+    // which waits for these ranks only (not for unrelated pool jobs) and
+    // rethrows the first rank error at the join. Ranks block on service
+    // futures, but service workers are independent threads, and the caller
+    // runs ranks itself when every pool worker is busy, so a full pool
+    // still makes progress.
+    core::parallel_for(*cfg_.pool, static_cast<size_t>(ranks),
+                       [&run_rank](size_t r) { run_rank(static_cast<int>(r)); });
   } else {
     // Raw threads: capture the first rank exception and rethrow at the
     // join, mirroring the pool path — an uncaught throw in a std::thread

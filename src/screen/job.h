@@ -52,8 +52,9 @@ struct JobConfig {
   int poses_per_batch = 32;        // service micro-batch size built from this
                                    // config (campaign compat path)
   core::ThreadPool* pool = nullptr;  // shared worker pool (not owned); rank
-                                     // clients run as pool jobs when set, as
-                                     // raw std::threads otherwise
+                                     // clients run through core::parallel_for
+                                     // on it when set, as raw std::threads
+                                     // otherwise
   chem::VoxelConfig voxel;         // featurization of the compat-path scorer
   chem::GraphFeaturizerConfig graph;
 };

@@ -1,13 +1,16 @@
 // Equivalence pins for the blocked inference engine: sgemm vs the naive
-// reference (all transpose variants, odd shapes, 1-8 threads), vol2col
-// Conv3d forward/backward vs the direct 7-loop reference, parallel
-// voxelizer/maxpool vs serial, batched predict vs per-pose predict, and
-// ThreadPool exception propagation.
+// reference (all transpose variants, odd shapes, 1-8 threads), Conv3d
+// forward/backward vs the direct 7-loop reference, the implicit-GEMM
+// forward bitwise vs vol2col + sgemm, parallel voxelizer/maxpool vs serial,
+// batched predict bitwise vs per-pose predict, and ThreadPool exception
+// propagation.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "chem/conformer.h"
@@ -166,6 +169,88 @@ TEST(Conv3dFast, MatchesNaiveOnEveryPoolSize) {
   }
 }
 
+// ---- implicit-GEMM Conv3d forward vs vol2col + sgemm, bitwise ----
+
+// The oracle: each sample lowered whole by vol2col, then one sgemm with the
+// conv's bias and activation as the fused epilogue.
+Tensor conv_via_vol2col(nn::Conv3d& conv, const Tensor& x, core::EpilogueAct act) {
+  const int64_t B = x.dim(0), cin = x.dim(1), D = x.dim(2), H = x.dim(3), W = x.dim(4);
+  const int64_t k = conv.kernel(), s = conv.stride(), p = conv.padding();
+  const int64_t Do = nn::Conv3d::out_size(D, k, s, p);
+  const int64_t Ho = nn::Conv3d::out_size(H, k, s, p);
+  const int64_t Wo = nn::Conv3d::out_size(W, k, s, p);
+  const int64_t cout = conv.out_channels(), K = cin * k * k * k, N = Do * Ho * Wo;
+  Tensor out({B, cout, Do, Ho, Wo});
+  std::vector<float> cols(static_cast<size_t>(K * N));
+  core::Epilogue ep;
+  ep.act = act;
+  ep.bias_row = conv.bias().value.data();
+  for (int64_t b = 0; b < B; ++b) {
+    nn::vol2col(x.data() + b * cin * D * H * W, cin, D, H, W, k, s, p, cols.data(), N);
+    core::sgemm(false, false, cout, N, K, conv.weight().value.data(), K, cols.data(), N,
+                out.data() + b * cout * N, N, false, &ep);
+  }
+  return out;
+}
+
+void expect_bytes_equal(const Tensor& got, const Tensor& want, const std::string& what) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), static_cast<size_t>(got.numel()) * sizeof(float)),
+            0)
+      << what;
+}
+
+// Eval forward (plain, ReLU-fused, prepacked) and the training forward of
+// one conv on one input, each against the oracle.
+void check_implicit_gemm(const ConvCase& cc, Rng& rng) {
+  nn::Conv3d conv(cc.cin, cc.cout, cc.k, rng, cc.stride, cc.pad);
+  const Tensor x = Tensor::randn({cc.B, cc.cin, cc.D, cc.H, cc.W}, rng);
+  const std::string shape = "B=" + std::to_string(cc.B) + " cin=" + std::to_string(cc.cin) +
+                            " cout=" + std::to_string(cc.cout) + " grid=" + std::to_string(cc.D) +
+                            "x" + std::to_string(cc.H) + "x" + std::to_string(cc.W) +
+                            " k=" + std::to_string(cc.k) + " s=" + std::to_string(cc.stride) +
+                            " p=" + std::to_string(cc.pad);
+  const Tensor plain = conv_via_vol2col(conv, x, core::EpilogueAct::kNone);
+  const Tensor relu = conv_via_vol2col(conv, x, core::EpilogueAct::kReLU);
+  conv.set_training(false);
+  expect_bytes_equal(conv.forward(x), plain, "eval " + shape);
+  expect_bytes_equal(conv.forward_act(x, core::EpilogueAct::kReLU), relu, "eval relu " + shape);
+  conv.prepack();
+  expect_bytes_equal(conv.forward(x), plain, "prepacked " + shape);
+  expect_bytes_equal(conv.forward_act(x, core::EpilogueAct::kReLU), relu,
+                     "prepacked relu " + shape);
+  conv.clear_prepacked();
+  conv.set_training(true);
+  expect_bytes_equal(conv.forward(x), plain, "training " + shape);
+}
+
+TEST(Conv3dImplicitGemm, BitwiseEqualsVol2colPlusSgemmAcrossShapes) {
+  Rng rng(53);
+  // Stride 1/2, pad 0/1/2, k 3/5, odd and cubic grids; N = Do*Ho*Wo below
+  // and above the skinny-RHS cutoff (96), K = cin*k^3 below and above one
+  // k-panel (192).
+  const ConvCase cases[] = {
+      {3, 3, 5, 7, 6, 5, 3, 1, 1},     {2, 16, 8, 8, 8, 8, 5, 2, 2},  {2, 8, 8, 4, 4, 4, 3, 1, 1},
+      {2, 8, 16, 2, 2, 2, 3, 1, 1},    {2, 16, 16, 2, 2, 2, 3, 1, 1}, {2, 4, 6, 9, 11, 10, 3, 1, 0},
+      {1, 16, 32, 12, 12, 12, 5, 2, 2}, {2, 3, 4, 10, 9, 11, 5, 2, 1}, {2, 2, 3, 6, 6, 6, 3, 2, 2},
+      {1, 5, 7, 13, 12, 11, 3, 1, 2},  {2, 9, 70, 5, 5, 5, 5, 1, 2},  {1, 1, 1, 3, 3, 3, 3, 2, 0},
+  };
+  for (const ConvCase& cc : cases) check_implicit_gemm(cc, rng);
+}
+
+TEST(Conv3dImplicitGemm, BitwiseAcrossBatchSizesAndPoolSizes) {
+  for (size_t threads : {1u, 2u, 4u}) {
+    core::ThreadPool pool(threads);
+    core::ComputePoolGuard guard(&pool);
+    Rng rng(61 + threads);
+    for (int64_t B = 1; B <= 33; ++B) {
+      check_implicit_gemm({B, 16, 8, 8, 8, 8, 5, 2, 2}, rng);
+      check_implicit_gemm({B, 8, 16, 2, 2, 2, 3, 1, 1}, rng);
+      check_implicit_gemm({B, 3, 4, 5, 7, 6, 3, 1, 1}, rng);
+    }
+  }
+}
+
 // ---- parallel voxelizer / maxpool vs serial ----
 
 TEST(VoxelizerParallel, BitwiseMatchesSerial) {
@@ -268,7 +353,7 @@ TEST(PredictBatch, MatchesPerPosePredict) {
     const std::vector<float> batched = model->predict_batch(ptrs);
     ASSERT_EQ(batched.size(), samples.size());
     for (size_t i = 0; i < samples.size(); ++i) {
-      EXPECT_NEAR(batched[i], model->predict(samples[i]), kTol) << model->name() << " pose " << i;
+      EXPECT_EQ(batched[i], model->predict(samples[i])) << model->name() << " pose " << i;
     }
   }
 }

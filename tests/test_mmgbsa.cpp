@@ -397,6 +397,43 @@ TEST(ConveyorLC, MmGbsaStageOptional) {
   EXPECT_TRUE(res->mmgbsa_scores.empty());
 }
 
+TEST(MmGbsa, LjOnlySweepBitwiseEqualsFusedSweep) {
+  // lj_energy sweeps LJ alone (the AMPL descriptor path); the fused LJ +
+  // electrostatic sweep must give the same LJ bits, through the cell list
+  // (sized for LJ alone or for both terms) and through the brute scan.
+  Rng rng(12);
+  int charged_poses = 0;
+  for (int trial = 0; trial < 6; ++trial) {
+    chem::MoleculeGenConfig mc;
+    mc.charge_probability = 0.3f;
+    Molecule lig = chem::generate_molecule(mc, rng);
+    chem::embed_conformer(lig, rng);
+    lig.translate(Vec3{rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(-3, 3)} -
+                  lig.centroid());
+    data::PocketConfig pc;
+    pc.num_atoms = 60 + trial * 120;
+    pc.radius = 6.0f + 2.0f * static_cast<float>(trial);
+    pc.charged_frac = 0.25f;
+    const std::vector<Atom> pocket = data::make_pocket(pc, rng);
+    for (float lj_cutoff : {9.0f, 6.0f}) {
+      MmGbsaConfig brute;
+      brute.lj_cutoff = lj_cutoff;
+      brute.use_cell_list = false;
+      const MmTerms ref = mm_terms(lig, pocket, brute);
+      if (ref.elec != 0.0f) ++charged_poses;
+      EXPECT_EQ(lj_energy(lig, pocket, brute), ref.lj);
+      MmGbsaConfig cells = brute;
+      cells.use_cell_list = true;
+      cells.cell_list_min_atoms = 0;
+      SCOPED_TRACE(testing::Message() << "trial " << trial << " lj_cutoff " << lj_cutoff);
+      EXPECT_EQ(lj_energy(lig, pocket, cells), ref.lj);
+      EXPECT_EQ(mm_terms(lig, pocket, cells).lj, ref.lj);
+      EXPECT_EQ(mm_terms(lig, pocket, cells).elec, ref.elec);
+    }
+  }
+  EXPECT_GT(charged_poses, 0);  // the fused sweep's electrostatics did run
+}
+
 TEST(MmGbsa, BitwiseEqualToPreviousImplementation) {
   Rng rng(9);
   for (int trial = 0; trial < 8; ++trial) {

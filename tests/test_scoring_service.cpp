@@ -234,7 +234,7 @@ TEST(BatchEquivalence, RandomizedBatchesMatchPerPoseForAllFamilies) {
         const std::vector<float> preds = model->predict_batch(batch);
         ASSERT_EQ(preds.size(), end - i);
         for (size_t j = i; j < end; ++j) {
-          EXPECT_NEAR(preds[j - i], single[j], kTol)
+          EXPECT_EQ(preds[j - i], single[j])
               << name << " pose " << j << " batch width " << (end - i);
         }
         i = end;

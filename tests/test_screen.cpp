@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstring>
+#include <future>
+#include <latch>
+#include <thread>
 
 #include "chem/conformer.h"
 #include "chem/smiles.h"
+#include "core/threadpool.h"
 #include "data/target.h"
 #include "models/sgcnn.h"
 #include "screen/job.h"
@@ -145,6 +152,45 @@ TEST(Job, FailureProducesNoOutput) {
     }
   }
   EXPECT_TRUE(saw_failure);
+}
+
+TEST(Job, SharedPoolRunIgnoresUnrelatedPoolJobs) {
+  // The campaign's pool also carries work that is not this job's. run()
+  // joins its own ranks only: with an unrelated job parked on the pool it
+  // still returns, with the scores the raw-thread ranks produce.
+  Rng rng(6);
+  const auto pocket = data::make_pocket({4.5f, 24, 0.6f, 0.5f, 0.1f}, rng);
+  const auto items = make_items(14, &pocket, rng);
+  serve::ScoringService service = make_sg_service();
+  JobConfig jc;
+  jc.nodes = 2;
+  jc.gpus_per_node = 2;
+  const JobReport ref = FusionScoringJob(jc).run(items, service, "sg");
+
+  core::ThreadPool pool(2);
+  std::latch gate(1);
+  std::atomic<bool> parked{false}, released{false};
+  pool.submit([&] {
+    parked = true;
+    gate.wait();
+    released = true;
+  });
+  while (!parked) std::this_thread::yield();
+  jc.pool = &pool;
+  auto job = std::async(std::launch::async,
+                        [&] { return FusionScoringJob(jc).run(items, service, "sg"); });
+  const bool returned = job.wait_for(std::chrono::seconds(60)) == std::future_status::ready;
+  EXPECT_TRUE(returned) << "run() waited on an unrelated pool job";
+  EXPECT_FALSE(released.load());
+  gate.count_down();
+  const JobReport r = job.get();
+  pool.wait_idle();
+
+  EXPECT_FALSE(r.failed);
+  ASSERT_EQ(r.predictions.size(), ref.predictions.size());
+  EXPECT_EQ(std::memcmp(r.predictions.data(), ref.predictions.data(),
+                        ref.predictions.size() * sizeof(float)),
+            0);
 }
 
 TEST(Job, UnknownScorerThrowsAtStartup) {
