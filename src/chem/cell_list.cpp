@@ -130,7 +130,8 @@ void CellList::knearest(const core::Vec3& p, int32_t k, std::vector<int32_t>& ou
   // grid cell — the shell index at which the whole grid has been visited.
   const int32_t smax = std::max({cx, nx_ - 1 - cx, cy, ny_ - 1 - cy, cz, nz_ - 1 - cz, 0});
 
-  std::vector<std::pair<float, int32_t>> cand;  // (dist, index)
+  static thread_local std::vector<std::pair<float, int32_t>> cand;  // (dist, index)
+  cand.clear();
   for (int32_t s = 0; s <= smax; ++s) {
     const int32_t xlo = std::max(0, cx - s), xhi = std::min(nx_ - 1, cx + s);
     const int32_t ylo = std::max(0, cy - s), yhi = std::min(ny_ - 1, cy + s);
@@ -159,7 +160,10 @@ void CellList::knearest(const core::Vec3& p, int32_t k, std::vector<int32_t>& ou
     }
   }
   // Final order = the brute-force crop's order: sort by (distance, index).
-  std::sort(cand.begin(), cand.end());
+  // Indices are unique, so the key is a strict total order: the k smallest
+  // are one set, and sorting just that set gives a full sort's prefix.
+  std::nth_element(cand.begin(), cand.begin() + (k - 1), cand.end());
+  std::sort(cand.begin(), cand.begin() + k);
   out.reserve(static_cast<size_t>(k));
   for (int32_t i = 0; i < k; ++i) out.push_back(cand[static_cast<size_t>(i)].second);
 }

@@ -170,13 +170,19 @@ graph::SpatialGraph GraphFeaturizer::featurize(const Molecule& ligand,
     }
     return false;
   };
+  // Edges collect in a reused scratch list and are copied out once at the
+  // end: the graph's own vectors get one exact allocation instead of a
+  // growth chain per pose.
+  static thread_local graph::EdgeList noncov;
+  noncov.src.clear();
+  noncov.dst.clear();
   static thread_local std::vector<float> efeat;
   efeat.clear();
   const bool want_efeat = cfg_.feature_set_version >= 2;
   auto try_edge = [&](int32_t i, int32_t j) {
     const float d = xyz[static_cast<size_t>(i)].dist(xyz[static_cast<size_t>(j)]);
     if (d <= cfg_.noncovalent_threshold && d > cfg_.covalent_threshold && !bonded(i, j)) {
-      g.noncovalent.add_undirected(i, j);
+      noncov.add_undirected(i, j);
       if (want_efeat) {
         const bool hb = i < nl && j >= nl &&
                         std::binary_search(hbond_keys.begin(), hbond_keys.end(),
@@ -201,6 +207,8 @@ graph::SpatialGraph GraphFeaturizer::featurize(const Molecule& ligand,
       }
     }
   }
+  g.noncovalent.src.assign(noncov.src.begin(), noncov.src.end());
+  g.noncovalent.dst.assign(noncov.dst.begin(), noncov.dst.end());
   if (want_efeat && !efeat.empty()) {
     const int64_t ne = static_cast<int64_t>(efeat.size()) / kGraphEdgeFeaturesV2;
     g.noncovalent_features = core::Tensor({ne, kGraphEdgeFeaturesV2});

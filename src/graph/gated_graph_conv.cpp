@@ -55,23 +55,26 @@ GatedGraphConv::GatedGraphConv(int64_t dim, int64_t num_steps, core::Rng& rng)
              "ggc.w_msg"),
       gru_(dim, rng) {}
 
-Tensor GatedGraphConv::message(const Tensor& h) const {
+Tensor GatedGraphConv::message(const Tensor& h, const std::vector<int32_t>* rows) const {
   // Aggregate neighbour states, then apply the edge-type transform. Doing
   // the (N,dim)x(dim,dim) matmul once after aggregation instead of per-edge
   // keeps the step O(E*dim + N*dim^2). Sources are read through the
   // per-destination CSR so each destination row accumulates in registers
   // and is stored once — same per-destination edge order as the flat list,
   // so the sums are bitwise identical to the scatter formulation.
-  const int64_t rows = h.dim(0);
-  Tensor agg({rows, dim_});
+  const int64_t out_rows = rows != nullptr ? static_cast<int64_t>(rows->size()) : h.dim(0);
+  auto dest = [&](int64_t r) -> size_t {
+    return static_cast<size_t>(rows != nullptr ? (*rows)[static_cast<size_t>(r)] : r);
+  };
+  Tensor agg({out_rows, dim_});
 #if defined(DF_SIMD_MATH_VECTOR)
   if (dim_ <= 16) {
     using core::simd::vf16;
     using core::simd::vi16;
     const vi16 mask = core::simd::iota16i() < (vi16{} + static_cast<int32_t>(dim_));
-    for (int64_t v = 0; v < rows; ++v) {
-      const int32_t e0 = csr_start_[static_cast<size_t>(v)];
-      const int32_t e1 = csr_start_[static_cast<size_t>(v) + 1];
+    for (int64_t r = 0; r < out_rows; ++r) {
+      const int32_t e0 = csr_start_[dest(r)];
+      const int32_t e1 = csr_start_[dest(r) + 1];
       if (e0 == e1) continue;
       vf16 acc = {};
       for (int32_t e = e0; e < e1; ++e) {
@@ -79,7 +82,7 @@ Tensor GatedGraphConv::message(const Tensor& h) const {
         std::memcpy(&s, h.data() + csr_src_[static_cast<size_t>(e)] * dim_, sizeof(s));
         acc += s;
       }
-      float* dst = agg.data() + v * dim_;
+      float* dst = agg.data() + r * dim_;
       vf16 d;
       std::memcpy(&d, dst, sizeof(d));
       d = mask ? acc : d;
@@ -88,10 +91,10 @@ Tensor GatedGraphConv::message(const Tensor& h) const {
     return agg.matmul(w_msg_.value);
   }
 #endif
-  for (int64_t v = 0; v < rows; ++v) {
-    const int32_t e0 = csr_start_[static_cast<size_t>(v)];
-    const int32_t e1 = csr_start_[static_cast<size_t>(v) + 1];
-    float* dst = agg.data() + v * dim_;
+  for (int64_t r = 0; r < out_rows; ++r) {
+    const int32_t e0 = csr_start_[dest(r)];
+    const int32_t e1 = csr_start_[dest(r) + 1];
+    float* dst = agg.data() + r * dim_;
     for (int32_t e = e0; e < e1; ++e) {
       const float* src = h.data() + csr_src_[static_cast<size_t>(e)] * dim_;
       for (int64_t j = 0; j < dim_; ++j) dst[j] += src[j];
@@ -130,6 +133,26 @@ Tensor GatedGraphConv::forward(const Tensor& h0, const EdgeList& edges, bool tra
     h = gru_.forward(m, h, training);
   }
   return h;
+}
+
+Tensor GatedGraphConv::forward_rows(const Tensor& h0, const EdgeList& edges,
+                                    const std::vector<int32_t>& rows) {
+  if (h0.ndim() != 2 || h0.dim(1) != dim_) {
+    throw std::invalid_argument("GatedGraphConv: bad state shape " + h0.shape_str());
+  }
+  for (int32_t r : rows) {
+    if (r < 0 || r >= h0.dim(0)) throw std::out_of_range("GatedGraphConv::forward_rows: bad row");
+  }
+  build_csr(edges, h0.dim(0));
+  Tensor h = h0;
+  for (int64_t k = 0; k + 1 < steps_; ++k) h = gru_.forward(message(h), h, false);
+  Tensor h_rows = Tensor::uninit({static_cast<int64_t>(rows.size()), dim_});
+  for (size_t r = 0; r < rows.size(); ++r) {
+    std::memcpy(h_rows.data() + static_cast<int64_t>(r) * dim_, h.data() + rows[r] * dim_,
+                static_cast<size_t>(dim_) * sizeof(float));
+  }
+  if (steps_ == 0) return h_rows;
+  return gru_.forward(message(h, &rows), h_rows, false);
 }
 
 Tensor GatedGraphConv::backward(const Tensor& grad_h_final) {

@@ -19,6 +19,12 @@ class GatedGraphConv {
 
   /// Propagate node states (N, dim) over `edges` for K steps.
   Tensor forward(const Tensor& h0, const EdgeList& edges, bool training);
+  /// Inference forward that keeps only the final states of node ids `rows`
+  /// (in that order): (rows.size(), dim). The first K-1 steps run over every
+  /// node, the last one over `rows` alone. Aggregation, the message GEMM
+  /// and the GRU are all row-wise, so each returned row is bitwise the
+  /// matching row of forward(h0, edges, false).
+  Tensor forward_rows(const Tensor& h0, const EdgeList& edges, const std::vector<int32_t>& rows);
   /// Backward for the most recent forward; returns dL/dh0.
   Tensor backward(const Tensor& grad_h_final);
 
@@ -29,8 +35,9 @@ class GatedGraphConv {
  private:
   /// m_v = sum_{(u,v) in E} h_u W_msg  (aggregate-then-transform), reading
   /// sources through csr_ so each destination row is accumulated in
-  /// registers and stored once.
-  Tensor message(const Tensor& h) const;
+  /// registers and stored once. With `rows`, only the destinations
+  /// rows[0..] are produced, in that order.
+  Tensor message(const Tensor& h, const std::vector<int32_t>* rows = nullptr) const;
   /// Group edge sources by destination (stable within a destination).
   void build_csr(const EdgeList& edges, int64_t num_nodes);
 

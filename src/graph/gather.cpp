@@ -74,26 +74,40 @@ Tensor Gather::forward_sum(const Tensor& h, const Tensor& x, int64_t n_sum, bool
   return out;
 }
 
-Tensor Gather::forward_segments(const Tensor& h, const Tensor& x,
-                                const std::vector<int64_t>& node_offset,
-                                const std::vector<int64_t>& sum_counts, bool training) {
-  if (node_offset.empty() || node_offset.size() != sum_counts.size() + 1) {
+Tensor Gather::forward_segments(const Tensor& h, const Tensor& x, const std::vector<int32_t>& rows,
+                                const std::vector<int64_t>& sum_counts) {
+  const int64_t n = static_cast<int64_t>(rows.size());
+  int64_t counted = 0;
+  for (int64_t c : sum_counts) counted += c;
+  if (h.ndim() != 2 || h.dim(0) != n || h.dim(1) != in_h_ || counted != n) {
     throw std::invalid_argument("Gather::forward_segments: bad segment layout");
   }
-  Tensor per_node = forward_nodes(h, x, training);
+  gate_.set_training(false);
+  value_.set_training(false);
+  Tensor cat = Tensor::uninit({n, in_h_ + in_x_});
+  for (int64_t i = 0; i < n; ++i) {
+    const int32_t node = rows[static_cast<size_t>(i)];
+    if (node < 0 || node >= x.dim(0)) throw std::out_of_range("Gather::forward_segments: bad row");
+    float* dst = cat.data() + i * (in_h_ + in_x_);
+    std::memcpy(dst, h.data() + i * in_h_, static_cast<size_t>(in_h_) * sizeof(float));
+    std::memcpy(dst + in_h_, x.data() + node * in_x_, static_cast<size_t>(in_x_) * sizeof(float));
+  }
+  // Same gate/value/product sequence as forward_nodes, on the kept rows.
+  Tensor g = gate_.forward_act(cat, core::EpilogueAct::kSigmoid);
+  Tensor v = value_.forward(cat);
+  Tensor per_node = Tensor::uninit(g.shape());
+  for (int64_t i = 0; i < g.numel(); ++i) per_node[i] = g[i] * v[i];
   const int64_t num_graphs = static_cast<int64_t>(sum_counts.size());
   Tensor out({num_graphs, width_});
-  for (int64_t g = 0; g < num_graphs; ++g) {
-    // Per-graph sum over its leading (ligand) rows, in the same node order
-    // as the per-pose forward_sum — keeps batched == per-pose bitwise.
-    const int64_t base = node_offset[static_cast<size_t>(g)];
-    const int64_t count = std::min<int64_t>(sum_counts[static_cast<size_t>(g)],
-                                            node_offset[static_cast<size_t>(g) + 1] - base);
-    float* acc = out.data() + g * width_;
+  int64_t base = 0;
+  for (int64_t gi = 0; gi < num_graphs; ++gi) {
+    float* acc = out.data() + gi * width_;
+    const int64_t count = sum_counts[static_cast<size_t>(gi)];
     for (int64_t i = 0; i < count; ++i) {
       const float* row = per_node.data() + (base + i) * width_;
       for (int64_t j = 0; j < width_; ++j) acc[j] += row[j];
     }
+    base += count;
   }
   return out;
 }

@@ -26,14 +26,15 @@ class Gather {
   Tensor forward_sum(const Tensor& h, const Tensor& x, int64_t n_sum, bool training);
   std::pair<Tensor, Tensor> backward_sum(const Tensor& grad_graph);
 
-  /// Batched graph-level gather over a packed block-diagonal batch
-  /// (graph::PackedGraphBatch layout): graph g sums per-node output rows
-  /// [node_offset[g], node_offset[g] + sum_counts[g]) into row g of the
-  /// (num_graphs, width) result. Bitwise identical to running forward_sum
-  /// per graph. Inference path — per-graph backward is not supported.
-  Tensor forward_segments(const Tensor& h, const Tensor& x,
-                          const std::vector<int64_t>& node_offset,
-                          const std::vector<int64_t>& sum_counts, bool training);
+  /// Batched graph-level gather for inference over a packed block-diagonal
+  /// batch (graph::PackedGraphBatch layout). `h` (rows.size(), in_h) holds
+  /// the states of the summed nodes only: row r is node rows[r] of `x`, and
+  /// graph g owns the next sum_counts[g] rows. Row g of the (num_graphs,
+  /// width) result is graph g's sum — bitwise identical to forward_sum per
+  /// graph, since the gate/value GEMMs are row-stable and every sum runs in
+  /// the same node order. Nodes outside `rows` are never gated.
+  Tensor forward_segments(const Tensor& h, const Tensor& x, const std::vector<int32_t>& rows,
+                          const std::vector<int64_t>& sum_counts);
 
   void collect_parameters(std::vector<nn::Parameter*>& out);
   int64_t width() const { return width_; }

@@ -31,25 +31,29 @@ PackedGraphBatch pack_graphs(const std::vector<const SpatialGraph*>& graphs) {
   }
 
   out.node_features = Tensor::uninit({total_nodes, F});
-  out.covalent.src.reserve(total_cov);
-  out.covalent.dst.reserve(total_cov);
-  out.noncovalent.src.reserve(total_noncov);
-  out.noncovalent.dst.reserve(total_noncov);
+  out.covalent.src.resize(total_cov);
+  out.covalent.dst.resize(total_cov);
+  out.noncovalent.src.resize(total_noncov);
+  out.noncovalent.dst.resize(total_noncov);
 
+  // Shift each graph's edge ids by its node offset into the packed lists.
+  auto append_shifted = [](const std::vector<int32_t>& from, int32_t shift, int32_t* to) {
+    const int32_t* src = from.data();
+    for (size_t e = 0; e < from.size(); ++e) to[e] = src[e] + shift;
+  };
+  size_t cov_at = 0, noncov_at = 0;
   for (size_t gi = 0; gi < graphs.size(); ++gi) {
     const SpatialGraph& g = *graphs[gi];
     const int64_t base = out.node_offset[gi];
     std::memcpy(out.node_features.data() + base * F, g.node_features.data(),
                 static_cast<size_t>(g.num_nodes() * F) * sizeof(float));
     const int32_t shift = static_cast<int32_t>(base);
-    for (size_t e = 0; e < g.covalent.size(); ++e) {
-      out.covalent.src.push_back(g.covalent.src[e] + shift);
-      out.covalent.dst.push_back(g.covalent.dst[e] + shift);
-    }
-    for (size_t e = 0; e < g.noncovalent.size(); ++e) {
-      out.noncovalent.src.push_back(g.noncovalent.src[e] + shift);
-      out.noncovalent.dst.push_back(g.noncovalent.dst[e] + shift);
-    }
+    append_shifted(g.covalent.src, shift, out.covalent.src.data() + cov_at);
+    append_shifted(g.covalent.dst, shift, out.covalent.dst.data() + cov_at);
+    append_shifted(g.noncovalent.src, shift, out.noncovalent.src.data() + noncov_at);
+    append_shifted(g.noncovalent.dst, shift, out.noncovalent.dst.data() + noncov_at);
+    cov_at += g.covalent.size();
+    noncov_at += g.noncovalent.size();
   }
   return out;
 }

@@ -5,7 +5,10 @@
 #include <stdexcept>
 
 #include "core/gemm.h"
+#include "core/simd_math.h"
 #include "nn/activations.h"
+
+#pragma GCC diagnostic ignored "-Wpsabi"  // vector helpers: see core/simd_math.h
 
 namespace df::graph {
 
@@ -26,6 +29,84 @@ Tensor gate(const Tensor& x, const Tensor& w, const Tensor& h, const Tensor& u, 
               /*accumulate=*/true, &ep);
   return out;
 }
+
+#if defined(DF_SIMD_MATH_VECTOR)
+using core::simd::vf16;
+
+// One step for hidden widths of at most 16, R rows at a time with every
+// gate in registers: the (rows, dim)-wide GEMM formulation spends most of
+// its time finalizing 12-wide rows, not multiplying. Per element it is the
+// skinny sgemm path's arithmetic in the same order: each product is an FMA
+// chain over p = 0..d-1 from zero, with the p-th input broadcast as
+// `vf16{} + a[p]`; the h-side chain then adds the x-side value, the bias
+// and the activation; r*h and h' are the unfused loops' expressions. So
+// every value is bitwise the GEMM formulation's. `w` holds the padded
+// 16-lane rows of Wz, Wr, Wc, Uz, Ur, Uc (d rows each), then bz, br, bc.
+// Lanes past d carry whatever the 16-lane load of h picked up (the next row,
+// or the allocation's slack) and are never stored.
+template <int R>
+inline void gru_narrow_rows(int64_t d, const float* x, const float* h, const float* w,
+                            float* out) {
+  const float* wz = w;
+  const float* wr = wz + d * 16;
+  const float* wc = wr + d * 16;
+  const float* uz = wc + d * 16;
+  const float* ur = uz + d * 16;
+  const float* uc = ur + d * 16;
+  const float* bias = uc + d * 16;
+  vf16 az[R] = {}, ar[R] = {}, ac[R] = {}, hz[R] = {}, hr[R] = {};
+  for (int64_t p = 0; p < d; ++p) {
+    const vf16 bwz = core::simd::load16(wz + p * 16), bwr = core::simd::load16(wr + p * 16),
+               bwc = core::simd::load16(wc + p * 16), buz = core::simd::load16(uz + p * 16),
+               bur = core::simd::load16(ur + p * 16);
+    for (int q = 0; q < R; ++q) {
+      const vf16 xv = vf16{} + x[q * d + p];
+      az[q] += xv * bwz;
+      ar[q] += xv * bwr;
+      ac[q] += xv * bwc;
+      const vf16 hv = vf16{} + h[q * d + p];
+      hz[q] += hv * buz;
+      hr[q] += hv * bur;
+    }
+  }
+  const vf16 bz = core::simd::load16(bias), br = core::simd::load16(bias + 16),
+             bc = core::simd::load16(bias + 32);
+  vf16 z[R], hvec[R];
+  alignas(64) float rh[R][16];
+  for (int q = 0; q < R; ++q) {
+    vf16 tz = hz[q] + az[q];
+    tz += bz;
+    vf16 tr = hr[q] + ar[q];
+    tr += br;
+    z[q] = core::simd::vsigmoid16(tz);
+    const vf16 r = core::simd::vsigmoid16(tr);
+    hvec[q] = core::simd::load16(h + q * d);
+    const vf16 rhq = r * hvec[q];
+    std::memcpy(rh[q], &rhq, sizeof(rhq));
+  }
+  vf16 hc[R] = {};
+  for (int64_t p = 0; p < d; ++p) {
+    const vf16 buc = core::simd::load16(uc + p * 16);
+    for (int q = 0; q < R; ++q) hc[q] += (vf16{} + rh[q][p]) * buc;
+  }
+  for (int q = 0; q < R; ++q) {
+    vf16 tc = hc[q] + ac[q];
+    tc += bc;
+    const vf16 c = core::simd::vtanh16(tc);
+    const vf16 hn = (core::simd::splat(1.0f) - z[q]) * hvec[q] + z[q] * c;
+    alignas(64) float buf[16];
+    std::memcpy(buf, &hn, sizeof(hn));
+    std::memcpy(out + q * d, buf, static_cast<size_t>(d) * sizeof(float));
+  }
+}
+
+void gru_eval_narrow(int64_t rows, int64_t d, const float* x, const float* h, const float* w,
+                     float* out) {
+  int64_t i = 0;
+  for (; i + 2 <= rows; i += 2) gru_narrow_rows<2>(d, x + i * d, h + i * d, w, out + i * d);
+  if (i < rows) gru_narrow_rows<1>(d, x + i * d, h + i * d, w, out + i * d);
+}
+#endif
 
 // db[j] += colsum(g) with contiguous row pointers.
 void add_colsum(const Tensor& g, Tensor& db) {
@@ -74,6 +155,26 @@ Tensor GRUCell::forward_eval(const Tensor& x, const Tensor& h) {
   // concatenation does not touch any per-element accumulation order, so
   // the gate values are bitwise identical to the training-path gate().
   const int64_t rows = x.dim(0), d = dim_;
+#if defined(DF_SIMD_MATH_VECTOR)
+  if (d <= 16) {
+    Tensor w({6 * d * 16 + 48});
+    const Tensor* mats[6] = {&wz_.value, &wr_.value, &wc_.value, &uz_.value, &ur_.value, &uc_.value};
+    for (int m = 0; m < 6; ++m) {
+      for (int64_t p = 0; p < d; ++p) {
+        std::memcpy(w.data() + (m * d + p) * 16, mats[m]->data() + p * d,
+                    static_cast<size_t>(d) * sizeof(float));
+      }
+    }
+    const Tensor* biases[3] = {&bz_.value, &br_.value, &bc_.value};
+    for (int b = 0; b < 3; ++b) {
+      std::memcpy(w.data() + 6 * d * 16 + b * 16, biases[b]->data(),
+                  static_cast<size_t>(d) * sizeof(float));
+    }
+    Tensor h_new = Tensor::uninit(h.shape());
+    gru_eval_narrow(rows, d, x.data(), h.data(), w.data(), h_new.data());
+    return h_new;
+  }
+#endif
   Tensor wcat = Tensor::uninit({d, 3 * d});
   Tensor ucat = Tensor::uninit({d, 2 * d});
   Tensor bcat = Tensor::uninit({2 * d});

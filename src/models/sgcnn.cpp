@@ -1,5 +1,6 @@
 #include "models/sgcnn.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace df::models {
@@ -40,12 +41,22 @@ nn::Tensor Sgcnn::forward_latent_batch(const graph::PackedGraphBatch& packed) {
   // The propagation layers are row-stable, so running them over the packed
   // (total_nodes, dim) matrix — one wide GEMM per layer instead of one
   // small GEMM per pose — reproduces every per-pose row bitwise; only the
-  // readout needs to know the graph boundaries.
+  // readout needs to know the graph boundaries. The readout sums ligand
+  // rows only, so the last non-covalent step and the gather run on those.
+  gather_rows_.clear();
+  gather_counts_.clear();
+  for (int64_t g = 0; g < packed.num_graphs(); ++g) {
+    const int64_t base = packed.node_offset[static_cast<size_t>(g)];
+    const int64_t count = std::min<int64_t>(packed.ligand_counts[static_cast<size_t>(g)],
+                                            packed.node_offset[static_cast<size_t>(g) + 1] - base);
+    for (int64_t i = 0; i < count; ++i) gather_rows_.push_back(static_cast<int32_t>(base + i));
+    gather_counts_.push_back(count);
+  }
   nn::Tensor h0 = embed_->forward(packed.node_features);
   nn::Tensor h1 = cov_->forward(h0, packed.covalent, /*training=*/false);
-  nn::Tensor h2 = noncov_->forward(h1, packed.noncovalent, /*training=*/false);
-  nn::Tensor pooled = gather_->forward_segments(h2, packed.node_features, packed.node_offset,
-                                                packed.ligand_counts, /*training=*/false);
+  nn::Tensor h2 = noncov_->forward_rows(h1, packed.noncovalent, gather_rows_);
+  nn::Tensor pooled =
+      gather_->forward_segments(h2, packed.node_features, gather_rows_, gather_counts_);
   return dense1_->forward_act(pooled, core::EpilogueAct::kReLU);
 }
 

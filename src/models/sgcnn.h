@@ -67,6 +67,10 @@ class Sgcnn : public Regressor {
   std::unique_ptr<nn::Dense> dense1_, dense2_, out_;
   // caches for latent-path backward
   nn::Tensor relu1_in_, relu2_in_;
+  // Batched readout rows (ligand node ids) and per-graph counts, reused
+  // across forward_latent_batch calls.
+  std::vector<int32_t> gather_rows_;
+  std::vector<int64_t> gather_counts_;
 };
 
 }  // namespace df::models

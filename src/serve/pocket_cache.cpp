@@ -25,6 +25,22 @@ void mix(uint64_t& h, const T& v) {
   mix_bytes(h, &v, sizeof(v));
 }
 
+// FNV-1a over 32-bit words (a quarter of the byte-wise steps on the
+// per-atom loop), then a 64-bit finalizer so every input bit reaches the
+// low bits the map buckets on. The key only picks the candidate entry: a
+// hit is confirmed field by field in matches(), so the key's strength
+// bears on the collision rate, never on which grid a lookup returns.
+void mix_word(uint64_t& h, uint32_t w) {
+  h ^= w;
+  h *= kFnvPrime;
+}
+
+uint32_t float_bits(float f) {
+  uint32_t u;
+  std::memcpy(&u, &f, sizeof(u));
+  return u;
+}
+
 uint64_t content_key(const std::vector<chem::Atom>& pocket, const core::Vec3& center,
                      const chem::VoxelConfig& vc, float crop_cell_size) {
   uint64_t h = kFnvOffset;
@@ -32,13 +48,13 @@ uint64_t content_key(const std::vector<chem::Atom>& pocket, const core::Vec3& ce
   // would leak indeterminate garbage into the key.
   mix(h, static_cast<uint64_t>(pocket.size()));
   for (const chem::Atom& a : pocket) {
-    mix(h, a.pos.x);
-    mix(h, a.pos.y);
-    mix(h, a.pos.z);
-    mix(h, static_cast<int32_t>(a.element));
-    mix(h, static_cast<int32_t>(a.formal_charge));
-    mix(h, static_cast<int32_t>(a.implicit_h));
-    mix(h, static_cast<int32_t>(a.aromatic ? 1 : 0));
+    mix_word(h, float_bits(a.pos.x));
+    mix_word(h, float_bits(a.pos.y));
+    mix_word(h, float_bits(a.pos.z));
+    mix_word(h, static_cast<uint32_t>(static_cast<uint8_t>(a.element)) |
+                    static_cast<uint32_t>(static_cast<uint8_t>(a.formal_charge)) << 8 |
+                    static_cast<uint32_t>(static_cast<uint8_t>(a.implicit_h)) << 16 |
+                    static_cast<uint32_t>(a.aromatic ? 1 : 0) << 24);
   }
   mix(h, center.x);
   mix(h, center.y);
@@ -51,6 +67,9 @@ uint64_t content_key(const std::vector<chem::Atom>& pocket, const core::Vec3& ce
   mix(h, vc.hbond.max_dist);
   mix(h, vc.hbond.max_cos_angle);
   mix(h, crop_cell_size);
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
   return h;
 }
 

@@ -45,6 +45,28 @@ TEST(GRUCell, InterpolatesBetweenStateAndCandidate) {
   }
 }
 
+TEST(GRUCell, EvalPathBitwiseEqualsTrainingPath) {
+  // Inference runs a register-resident kernel for widths up to 16 and the
+  // concatenated-gate GEMMs above; the training path runs one GEMM pair per
+  // gate. Every width and row count (odd counts hit the kernel's one-row
+  // tail) must agree bit for bit.
+  for (int64_t d : {1, 5, 12, 16, 17, 24}) {
+    for (int64_t rows : {1, 2, 7, 33}) {
+      Rng rng(static_cast<uint64_t>(100 + d * 64 + rows));
+      GRUCell gru(d, rng);
+      Tensor x = Tensor::randn({rows, d}, rng);
+      Tensor h = Tensor::randn({rows, d}, rng);
+      const Tensor eval = gru.forward(x, h, false);
+      const Tensor train = gru.forward(x, h, true);
+      gru.clear_frames();
+      ASSERT_EQ(eval.shape(), train.shape());
+      for (int64_t i = 0; i < eval.numel(); ++i) {
+        ASSERT_EQ(eval[i], train[i]) << "d=" << d << " rows=" << rows << " element " << i;
+      }
+    }
+  }
+}
+
 TEST(GRUCell, FrameStackDiscipline) {
   Rng rng(3);
   GRUCell gru(4, rng);
@@ -110,6 +132,35 @@ TEST(GatedGraphConv, OneStepLocality) {
   h0.at(0, 0) += 1.0f;
   Tensor out2 = ggc.forward(h0, chain, false);
   for (int64_t j = 0; j < 6; ++j) EXPECT_FLOAT_EQ(out2.at(2, j), out1.at(2, j));
+}
+
+TEST(GatedGraphConv, ForwardRowsBitwiseEqualsFullForward) {
+  // The row-restricted forward runs its last step over the requested rows
+  // only; each returned row must be the full forward's row, bit for bit, in
+  // the requested order, at every step count.
+  for (int64_t steps : {0, 1, 3}) {
+    Rng rng(static_cast<uint64_t>(40 + steps));
+    GatedGraphConv ggc(12, steps, rng);
+    const int32_t n = 23;
+    EdgeList edges;
+    for (int e = 0; e < 60; ++e) {
+      const int32_t a = static_cast<int32_t>(rng.randint(0, n - 1));
+      const int32_t b = static_cast<int32_t>(rng.randint(0, n - 1));
+      if (a != b) edges.add_undirected(a, b);
+    }
+    Tensor h0 = Tensor::randn({n, 12}, rng);
+    const Tensor full = ggc.forward(h0, edges, false);
+    const std::vector<int32_t> rows = {0, 1, 2, 7, 22, 5, 7};
+    const Tensor part = ggc.forward_rows(h0, edges, rows);
+    ASSERT_EQ(part.shape(), (std::vector<int64_t>{static_cast<int64_t>(rows.size()), 12}));
+    for (size_t r = 0; r < rows.size(); ++r) {
+      for (int64_t j = 0; j < 12; ++j) {
+        ASSERT_EQ(part.at(static_cast<int64_t>(r), j), full.at(rows[r], j))
+            << "steps=" << steps << " row " << rows[r];
+      }
+    }
+    EXPECT_THROW(ggc.forward_rows(h0, edges, {n}), std::out_of_range);
+  }
 }
 
 TEST(Gather, OutputWidth) {
